@@ -11,7 +11,8 @@
 //   N            number of processes (2..4)
 //   ALPHABET     graphs separated by '|'; each graph is a comma-separated
 //                list of directed edges "p>q" (0-based; self-loops
-//                implicit); an empty graph is written as '-'.
+//                implicit); an empty graph is written as '-'. A graph
+//                may appear only once (exit 2 otherwise).
 //   --max-depth  iterative-deepening bound (default 6)
 //   --max-states per-level state budget (default 6000000)
 //
@@ -20,6 +21,7 @@
 //   adversary_cli 2 '1>0|0>1|0>1,1>0'    # Santoro-Widmayer impossible
 //   adversary_cli 3 '0>1,1>2,2>0|-' --max-depth=4   # ring or silence
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,12 +111,18 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < alphabet.size(); ++i) {
     std::cout << "  G" << i << " = " << alphabet[i].to_string() << "\n";
   }
-  const ObliviousAdversary ma(n, std::move(alphabet), "cli");
+  std::unique_ptr<ObliviousAdversary> ma;
+  try {
+    ma = std::make_unique<ObliviousAdversary>(n, std::move(alphabet), "cli");
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "adversary_cli: " << error.what() << "\n";
+    return 2;
+  }
 
   SolvabilityOptions options;
   options.max_depth = max_depth;
   options.max_states = max_states;
-  const SolvabilityResult result = check_solvability(ma, options);
+  const SolvabilityResult result = check_solvability(*ma, options);
 
   std::cout << "\nPer-depth analysis:\n";
   Table table({"depth", "leaf classes", "components", "merged",
@@ -139,7 +147,7 @@ int main(int argc, char** argv) {
     std::cout << " up to depth " << max_depth
               << " (conclusive impossibility evidence for compact "
                  "adversaries as depth grows)";
-    const auto fair = fair_sequence_prefix(ma, std::min(max_depth, 5));
+    const auto fair = fair_sequence_prefix(*ma, std::min(max_depth, 5));
     if (fair.has_value()) {
       std::cout << "\nFair-sequence prefix: " << fair->to_string();
     }

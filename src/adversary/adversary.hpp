@@ -46,6 +46,10 @@ inline constexpr AdvState kRejectState = -1;
 /// immutable after construction.
 class MessageAdversary {
  public:
+  /// Throws std::invalid_argument if two letters are the same graph.
+  /// Distinct letters are an invariant the depth-t analysis relies on
+  /// (core/epsilon_approx.hpp): together with the mandatory self-loops
+  /// they make every (parent, letter) expansion a new prefix class.
   MessageAdversary(int n, std::vector<Digraph> alphabet, std::string name);
   virtual ~MessageAdversary() = default;
 
@@ -68,16 +72,6 @@ class MessageAdversary {
 
   /// Successor state, or kRejectState if `letter` is not allowed in s.
   virtual AdvState transition(AdvState state, int letter) const = 0;
-
-  /// Exclusive upper bound on every non-reject state value reachable from
-  /// initial_state(), or 0 when no finite bound is known. Purely an
-  /// encoding hint: the frontier engine packs adversary states into
-  /// ceil(log2(bound)) bits of its dedup keys (32 when unknown), so a
-  /// WRONG bound (a reachable state >= the bound) corrupts state
-  /// deduplication. Override only when the bound is structural -- e.g.
-  /// oblivious adversaries have the single state 0, periodic automata
-  /// their period.
-  virtual AdvState state_bound() const { return 0; }
 
   /// True iff the adversary is limit-closed (trivial liveness).
   virtual bool is_compact() const { return true; }

@@ -41,7 +41,6 @@ class HeardOfRoundsAdversary : public MessageAdversary {
   AdvState initial_state() const override { return 0; }
   /// State s in [0, period): rounds since the last uniform round.
   AdvState transition(AdvState state, int letter) const override;
-  AdvState state_bound() const override { return period_; }
   /// Exact liveness for lassos: a cycle with no uniform round drifts the
   /// counter past any period, so the default two-unrolling check is not
   /// enough.

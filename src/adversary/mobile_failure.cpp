@@ -66,12 +66,6 @@ AdvState MobileFailureAdversary::transition(AdvState state,
   return 1 + sender * persistence_;  // new streak (sender, 1)
 }
 
-AdvState MobileFailureAdversary::state_bound() const {
-  // 0 plus (sender, len) for len in [1, persistence]; the constructor
-  // asserted this fits.
-  return 1 + num_processes() * persistence_;
-}
-
 bool MobileFailureAdversary::admits_lasso(
     const std::vector<int>& stem, const std::vector<int>& cycle) const {
   if (cycle.empty()) return false;

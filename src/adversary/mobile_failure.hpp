@@ -33,7 +33,6 @@ class MobileFailureAdversary : public MessageAdversary {
   /// 1 + p * persistence + (len - 1): process p has been faulty for the
   /// last `len` consecutive rounds, 1 <= len <= persistence.
   AdvState transition(AdvState state, int letter) const override;
-  AdvState state_bound() const override;
   /// Exact liveness for lassos: a cycle faulting one process in every
   /// letter drifts the streak across unrollings (rejected here); every
   /// other cycle resets the streak mid-pass, for which the base

@@ -15,8 +15,6 @@ class ObliviousAdversary : public MessageAdversary {
   ObliviousAdversary(int n, std::vector<Digraph> graphs, std::string name);
 
   AdvState transition(AdvState state, int letter) const override;
-  /// The safety automaton has the single state 0.
-  AdvState state_bound() const override { return 1; }
 };
 
 }  // namespace topocon

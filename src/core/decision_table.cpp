@@ -74,11 +74,10 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
         table.by_level_[s].emplace(k, std::countr_zero(mask));
       }
     }
-    // Diagnostics: multiplicity-weighted fraction of classes whose every
-    // process has decided by the end of this round.
-    std::uint64_t total = 0, decided = 0;
+    // Diagnostics: fraction of prefixes whose every process has decided
+    // by the end of this round.
+    std::uint64_t decided = 0;
     for (const PrefixState& state : level) {
-      total += state.multiplicity;
       bool all = true;
       for (int p = 0; p < n; ++p) {
         const auto it = table.by_level_[s].find(
@@ -88,11 +87,12 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
           break;
         }
       }
-      if (all) decided += state.multiplicity;
+      if (all) ++decided;
     }
     table.decided_fraction_[s] =
-        total == 0 ? 0.0
-                   : static_cast<double>(decided) / static_cast<double>(total);
+        level.empty() ? 0.0
+                      : static_cast<double>(decided) /
+                            static_cast<double>(level.size());
   }
   return table;
 }

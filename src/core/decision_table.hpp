@@ -50,8 +50,8 @@ class DecisionTable {
   /// `round` (0 = initial state), or nullopt if p cannot decide yet.
   std::optional<Value> decide(int round, ProcessId p, ViewId view) const;
 
-  /// Fraction of prefix classes (weighted by multiplicity) in which all
-  /// processes have decided by the end of the given round; index = round.
+  /// Fraction of the admissible prefixes of length `round` in which all
+  /// processes have decided by the end of that round; index = round.
   const std::vector<double>& decided_fraction() const {
     return decided_fraction_;
   }

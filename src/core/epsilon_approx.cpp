@@ -18,7 +18,10 @@ namespace {
 // Dedup key of a prefix class: safety state plus all interned views. The
 // views determine the inputs (every view contains its own input) and the
 // reach masks (the cone determines who has been heard), so this key
-// identifies the class exactly.
+// identifies the class exactly. The frontier engine never dedups states
+// (no two emissions share a key; see core/frontier.hpp); the reference
+// expansion keeps this map so the differential tests would catch a
+// violation of that invariant.
 struct StateKey {
   AdvState adv_state;
   ViewVector views;
@@ -55,7 +58,6 @@ std::vector<PrefixState> initial_frontier(const MessageAdversary& adversary,
     state.views = interner.initial(x);
     state.reach = initial_reach(n);
     state.adv_state = adversary.initial_state();
-    state.multiplicity = 1;
     frontier.push_back(std::move(state));
   }
   return frontier;
@@ -84,16 +86,12 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
         child.views = it->first.views;
         child.reach = advance_reach(parent.reach, g);
         child.adv_state = adv_next;
-        child.multiplicity = parent.multiplicity;
         level.states.push_back(std::move(child));
         level.first_parent.emplace_back(static_cast<int>(i), letter);
         if (level.states.size() > max_states) {
           level.overflow = true;
           break;
         }
-      } else {
-        level.states[static_cast<std::size_t>(it->second)].multiplicity +=
-            parent.multiplicity;
       }
       if (keep_links) {
         std::vector<int>& kids = level.children[i];

@@ -10,9 +10,11 @@
 // the components are determined by the depth-t prefixes alone:
 //
 //   universe   = admissible (input vector, length-t graph sequence) pairs,
-//                deduplicated by (safety state, interned view vector) --
-//                states that agree on all views and the adversary state are
-//                indistinguishable points of the analysis;
+//                one state each. No two of them share all views: every
+//                graph carries its self-loops, so a child's views contain
+//                its parent's and children of distinct parents differ;
+//                distinct letters (a MessageAdversary invariant) differ in
+//                some in-mask, so children of one parent differ too;
 //   adjacency  = two prefixes share the interned view id of some process;
 //   components = union-find closure, linear in the number of (state, view)
 //                pairs via bucketing by view id.
@@ -61,7 +63,7 @@ class MetricsRegistry;
 ///    imply solvability) -- quantified in bench E6.
 enum class AdjacencyTopology { kMin, kPView };
 
-/// Pending-level dedup representation of the frontier engine
+/// Pending-view dedup representation of the frontier engine
 /// (core/frontier.hpp). An execution detail exactly like keep_levels and
 /// the chunk size: it is never serialized into query JSON and can never
 /// change any result byte -- forced dense, forced sparse, and the
@@ -114,7 +116,7 @@ struct AnalysisOptions {
   AdjacencyTopology topology = AdjacencyTopology::kMin;
   /// Process set P for kPView (bitmask; must be nonzero in that mode).
   NodeMask pview_set = 0;
-  /// Pending-level dedup representation; like keep_levels an execution
+  /// Pending-view dedup representation; like keep_levels an execution
   /// detail that is never serialized and never changes a result byte.
   FrontierMode frontier = FrontierMode::kDefault;
   /// Optional per-job telemetry sink (telemetry/metrics.hpp). An
@@ -126,14 +128,13 @@ struct AnalysisOptions {
   SpillOptions spill = {};
 };
 
-/// One deduplicated prefix class at some level of the BFS.
+/// One admissible prefix (input vector, letter sequence) at some level
+/// of the BFS.
 struct PrefixState {
   InputVector inputs;
   ViewVector views;
   ReachVector reach;
   AdvState adv_state = 0;
-  /// Number of (input, letter-sequence) prefixes in this class.
-  std::uint64_t multiplicity = 1;
 };
 
 /// Summary of one connected component of the depth-t universe.
@@ -180,13 +181,13 @@ struct DepthAnalysis {
   /// Shared interner; view ids in `levels` refer to it.
   std::shared_ptr<ViewInterner> interner;
 
-  /// levels[s] = deduplicated prefix classes of length s (s = 0..depth).
+  /// levels[s] = admissible prefixes of length s (s = 0..depth).
   /// Present only when options.keep_levels (levels.back() -- the leaves --
   /// is always present).
   std::vector<std::vector<PrefixState>> levels;
 
   /// children[s][i] = indices into levels[s+1] reached from levels[s][i]
-  /// by one letter (deduplicated). Present only when options.keep_levels.
+  /// by one letter. Present only when options.keep_levels.
   std::vector<std::vector<std::vector<int>>> children;
 
   /// first_parent[s][i] = (index into levels[s-1], letter) of the first
@@ -222,7 +223,7 @@ DepthAnalysis analyze_depth(const MessageAdversary& adversary,
 /// REFERENCE implementation of analyze_depth(): the identical analysis
 /// driven by the single-scan initial_frontier()/expand_frontier() calls
 /// below instead of the chunked FrontierEngine. Every field of the
-/// result -- levels, links, multiplicities, truncation, components, and
+/// result -- levels, links, truncation, components, and
 /// the interner's id assignment order -- must be bit-identical to
 /// analyze_depth() at every chunk size and thread count; the fuzz
 /// differential harness (tests/fuzz_differential_test.cpp, `topocon
@@ -237,14 +238,14 @@ DepthAnalysis analyze_depth_oracle(
 // production expansion path is the chunked FrontierEngine in
 // core/frontier.hpp -- analyze_depth() above drives one engine serially,
 // the parallel sweep engine (runtime/sweep/parallel_solver.*) drives one
-// engine per root with sub-root chunk sharding. A key structural fact
-// makes root sharding exact: the dedup key contains all views, every view
-// contains its own input, so classes of *different* input vectors never
-// merge -- the prefix space is the disjoint union of one subtree per
-// input vector ("root"), and each subtree can be expanded independently
-// with a private interner. The calls below remain as the single-scan
-// REFERENCE expansion: a direct transcription of the serial BFS step that
-// the frontier engine must reproduce state for state (enforced by
+// engine per root with sub-root chunk sharding. Root sharding is exact
+// because a state's children depend only on that state: the prefix space
+// is the disjoint union of one subtree per input vector ("root"), and
+// each subtree can be expanded independently with a private interner.
+// The calls below remain as the single-scan REFERENCE expansion: a direct
+// transcription of the serial BFS step, with its own map-based state
+// dedup as an independent check of the no-duplicates invariant, that the
+// frontier engine must reproduce state for state (enforced by
 // tests/frontier_engine_test.cpp).
 
 /// One expanded BFS level: the deduplicated child classes plus the tree

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <unordered_map>
 
@@ -36,10 +37,6 @@ constexpr std::uint64_t kDenseSlotCap = std::uint64_t{1} << 21;
 /// it replaces.
 constexpr std::uint64_t kDenseHeadroom = 4;
 
-/// Bounds for the pending-state dense path's adversary-state prescan.
-constexpr std::size_t kDenseAdvCap = 1024;
-constexpr std::size_t kDenseAdvTableCap = std::size_t{1} << 16;
-
 constexpr std::uint64_t kSpaceOverflow =
     std::numeric_limits<std::uint64_t>::max();
 
@@ -55,8 +52,8 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 
 /// Chunk-local open-addressed map from non-negative int32 keys to int32
 /// values, used by the dense expansion path to assign compact digits to
-/// parent view ids and adversary states. Sized once for a known entry
-/// cap; the caller never inserts more than `max_entries` distinct keys.
+/// parent view ids. Sized once for a known entry cap; the caller never
+/// inserts more than `max_entries` distinct keys.
 class ScratchMap {
  public:
   void init(std::size_t max_entries) {
@@ -138,7 +135,7 @@ std::uint64_t PendingFrontier::approx_bytes() const {
              (states.front().inputs.size() * sizeof(Value) +
               states.front().reach.size() * sizeof(NodeMask));
   }
-  bytes += views.approx_bytes() + state_index.approx_bytes();
+  bytes += views.approx_bytes() + state_views.size() * sizeof(std::uint32_t);
   for (const std::vector<int>& kids : children) {
     bytes += sizeof(kids) + kids.size() * sizeof(int);
   }
@@ -266,7 +263,6 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
 KeyCodec FrontierEngine::level_codec() const {
   KeyCodec c;
   const int n = adversary_->num_processes();
-  c.n = n;
   c.q_bits = n > 1 ? static_cast<std::uint32_t>(std::bit_width(
                          static_cast<std::uint32_t>(n - 1)))
                    : 0;
@@ -279,25 +275,6 @@ KeyCodec FrontierEngine::level_codec() const {
                         32, static_cast<std::uint32_t>(
                                 std::bit_width(senders - 1)))
                   : 0;
-  const AdvState bound = adversary_->state_bound();
-  c.adv_bits =
-      bound <= 0 ? 32
-      : bound > 1 ? static_cast<std::uint32_t>(std::bit_width(
-                        static_cast<std::uint32_t>(bound - 1)))
-                  : 0;
-  // Every chunk contributes at most one distinct view per (parent, pair)
-  // so frontier * pairs bounds chunk-local AND merged view-table
-  // indices: one width makes chunk and merged state keys interoperable.
-  const std::uint64_t index_bound =
-      sat_mul(frontier_.size(), shape_.pairs.size());
-  c.index_bits =
-      index_bound > 1 ? std::min<std::uint32_t>(
-                            32, static_cast<std::uint32_t>(
-                                    std::bit_width(index_bound - 1)))
-                      : 0;
-  c.state_words = (c.adv_bits + static_cast<std::uint32_t>(n) * c.index_bits +
-                   31) /
-                  32;
   return c;
 }
 
@@ -385,82 +362,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                    view_space <= sat_mul(kDenseHeadroom, expected_views));
   }
 
-  // ---- Pending-state dense planning. State keys are [adversary state,
-  // view index per process]; the view indices are bounded by
-  // W = min(S_v, |chunk| * pairs) and the child adversary states are
-  // enumerated by a prescan of the chunk's distinct parent states, so
-  // the key space A_child * W^n is computable too. The prescan is only
-  // worth its O(|chunk|) when the views went dense (W is tiny exactly
-  // then); as a side effect it memoizes the safety-automaton transition,
-  // replacing the per-emission virtual call with a table load.
-  bool dense_states = false;
-  bool adv_cached = false;
-  std::uint64_t w_cap = 0;
-  std::vector<std::int32_t> dense_state_slot;
-  ScratchMap adv_remap;
-  std::vector<AdvState> adv_child_value;   // [adv index * alphabet + letter]
-  std::vector<std::int32_t> adv_child_digit;
-  if (dense_views) {
-    w_cap = std::min<std::uint64_t>(view_space,
-                                    sat_mul(chunk_size, num_pairs));
-    adv_remap.init(std::min(chunk_size, kDenseAdvCap + 1));
-    std::vector<AdvState> advs;
-    std::int32_t adv_count = 0;
-    bool bounded = true;
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      bool fresh;
-      adv_remap.find_or_insert(frontier_[i].adv_state, adv_count, &fresh);
-      if (fresh) {
-        advs.push_back(frontier_[i].adv_state);
-        if (static_cast<std::size_t>(++adv_count) > kDenseAdvCap) {
-          bounded = false;
-          break;
-        }
-      }
-    }
-    if (bounded && static_cast<std::size_t>(adv_count) *
-                           static_cast<std::size_t>(alphabet) <=
-                       kDenseAdvTableCap) {
-      const std::size_t table =
-          static_cast<std::size_t>(adv_count) *
-          static_cast<std::size_t>(alphabet);
-      adv_child_value.resize(table);
-      adv_child_digit.assign(table, -1);
-      ScratchMap child_remap;
-      child_remap.init(table);
-      std::int32_t child_count = 0;
-      for (std::int32_t ai = 0; ai < adv_count; ++ai) {
-        for (int letter = 0; letter < alphabet; ++letter) {
-          const std::size_t slot =
-              static_cast<std::size_t>(ai) *
-                  static_cast<std::size_t>(alphabet) +
-              static_cast<std::size_t>(letter);
-          const AdvState next =
-              adversary.transition(advs[static_cast<std::size_t>(ai)], letter);
-          adv_child_value[slot] = next;
-          if (next == kRejectState) continue;
-          // Non-reject automaton states are non-negative (state 0 is
-          // initial), which ScratchMap relies on.
-          bool fresh;
-          adv_child_digit[slot] =
-              child_remap.find_or_insert(next, child_count, &fresh);
-          if (fresh) ++child_count;
-        }
-      }
-      adv_cached = true;
-      std::uint64_t state_space =
-          static_cast<std::uint64_t>(child_count);
-      for (int q = 0; q < n; ++q) state_space = sat_mul(state_space, w_cap);
-      const std::uint64_t expected_states = sat_mul(chunk_size, alphabet);
-      dense_states = state_space <= kDenseSlotCap &&
-                     (mode == FrontierMode::kDense ||
-                      state_space <= sat_mul(kDenseHeadroom, expected_states));
-      if (dense_states) {
-        dense_state_slot.assign(static_cast<std::size_t>(state_space), -1);
-      }
-    }
-  }
-
   // ---- Per-chunk scratch.
   std::vector<std::int32_t> dense_view_slot;
   if (dense_views) {
@@ -485,15 +386,11 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   std::vector<std::int32_t> memo_val(num_pairs, -1);
   std::vector<std::uint32_t> memo_epoch(num_pairs, 0);
 
-  // Scratch keys, reused across emissions: no per-emission allocation.
-  // Keys are KeyCodec-packed (see frontier.hpp); the per-process view
-  // indices additionally stay unpacked in view_idx for the dense-state
-  // address computation.
+  // Scratch key, reused across emissions: no per-emission allocation.
+  // Keys are KeyCodec-packed (see frontier.hpp).
   const KeyCodec codec = level_codec();
   std::vector<std::uint32_t> view_key;
   view_key.reserve(static_cast<std::size_t>(n) + 2);
-  std::vector<std::uint32_t> state_key(codec.state_words);
-  std::vector<std::uint32_t> view_idx(static_cast<std::size_t>(n), 0);
   const auto pack_view_key = [&](std::uint32_t recv, NodeMask in_mask,
                                  const PrefixState& par) {
     const auto senders =
@@ -518,18 +415,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
       pos += codec.sender_bits;
     }
   };
-  const auto pack_state_key = [&](AdvState adv) {
-    std::fill(state_key.begin(), state_key.end(), 0u);
-    put_bits(state_key.data(), 0, static_cast<std::uint32_t>(adv),
-             codec.adv_bits);
-    for (int q = 0; q < n; ++q) {
-      put_bits(state_key.data(),
-               codec.adv_bits +
-                   static_cast<std::size_t>(q) * codec.index_bits,
-               view_idx[static_cast<std::size_t>(q)], codec.index_bits);
-    }
-  };
-
   std::size_t reported = 0;
   for (std::size_t i = chunk.begin; i < chunk.end && !out.overflow; ++i) {
     if (budget != nullptr && i > chunk.begin) {
@@ -541,12 +426,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
     }
     const PrefixState& parent = frontier_[i];
     const auto epoch = static_cast<std::uint32_t>(i - chunk.begin) + 1;
-    std::int32_t parent_adv = -1;
-    if (adv_cached) {
-      bool fresh;
-      parent_adv = adv_remap.find_or_insert(parent.adv_state, -1, &fresh);
-      assert(!fresh && "the prescan saw every parent state");
-    }
     if (dense_views) {
       for (int p = 0; p < n; ++p) {
         bool fresh;
@@ -559,12 +438,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
       }
     }
     for (int letter = 0; letter < alphabet; ++letter) {
-      const AdvState adv_next =
-          adv_cached
-              ? adv_child_value[static_cast<std::size_t>(parent_adv) *
-                                    static_cast<std::size_t>(alphabet) +
-                                static_cast<std::size_t>(letter)]
-              : adversary.transition(parent.adv_state, letter);
+      const AdvState adv_next = adversary.transition(parent.adv_state, letter);
       if (adv_next == kRejectState) continue;
       const Digraph& g = adversary.graph(letter);
       for (int q = 0; q < n; ++q) {
@@ -604,60 +478,23 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
           memo_val[pair] = view_index;
           memo_epoch[pair] = epoch;
         }
-        view_idx[static_cast<std::size_t>(q)] =
-            static_cast<std::uint32_t>(view_index);
+        out.state_views.push_back(static_cast<std::uint32_t>(view_index));
       }
-      assert(adversary.state_bound() <= 0 ||
-             adv_next < adversary.state_bound());
       ++emissions;
-      bool inserted;
-      int index;
-      if (dense_states) {
-        std::uint64_t addr = static_cast<std::uint64_t>(
-            adv_child_digit[static_cast<std::size_t>(parent_adv) *
-                                static_cast<std::size_t>(alphabet) +
-                            static_cast<std::size_t>(letter)]);
-        for (int q = 0; q < n; ++q) {
-          addr = addr * w_cap + view_idx[static_cast<std::size_t>(q)];
-        }
-        std::int32_t slot = dense_state_slot[static_cast<std::size_t>(addr)];
-        inserted = slot < 0;
-        if (inserted) {
-          pack_state_key(adv_next);
-          slot = out.state_index.append_new(state_key.data(),
-                                            state_key.size());
-          dense_state_slot[static_cast<std::size_t>(addr)] = slot;
-        }
-        index = slot;
-      } else {
-        pack_state_key(adv_next);
-        index = out.state_index.intern(state_key.data(), state_key.size(),
-                                       &inserted);
-      }
-      if (inserted) {
-        PendingState state;
-        state.inputs = parent.inputs;
-        state.reach = advance_reach(parent.reach, g);
-        state.adv_state = adv_next;
-        state.multiplicity = parent.multiplicity;
-        state.parent = static_cast<int>(i);
-        state.letter = letter;
-        out.states.push_back(std::move(state));
-        if (out.states.size() > options_.max_states) {
-          out.overflow = true;
-          break;
-        }
-      } else {
-        out.states[static_cast<std::size_t>(index)].multiplicity +=
-            parent.multiplicity;
-      }
+      PendingState state;
+      state.inputs = parent.inputs;
+      state.reach = advance_reach(parent.reach, g);
+      state.adv_state = adv_next;
+      state.parent = static_cast<int>(i);
+      state.letter = letter;
+      out.states.push_back(std::move(state));
       if (options_.keep_levels) {
-        // A parent can reach one class via several letters; filter the
-        // repeats like the serial scan does.
-        std::vector<int>& kids = out.children[i - chunk.begin];
-        if (std::find(kids.begin(), kids.end(), index) == kids.end()) {
-          kids.push_back(index);
-        }
+        out.children[i - chunk.begin].push_back(
+            static_cast<int>(out.states.size()) - 1);
+      }
+      if (out.states.size() > options_.max_states) {
+        out.overflow = true;
+        break;
       }
     }
   }
@@ -667,12 +504,9 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   }
   out.stats.chunks = 1;
   out.stats.dense_view_chunks = dense_views ? 1 : 0;
-  out.stats.dense_state_chunks = dense_states ? 1 : 0;
   out.stats.emissions = emissions;
-  out.stats.pending_states = out.states.size();
-  out.stats.dedup_hits = emissions - out.states.size();
   out.stats.pending_views = out.views.size();
-  out.stats.rehashes = out.views.rehashes() + out.state_index.rehashes();
+  out.stats.rehashes = out.views.rehashes();
   if (trace != nullptr) {
     trace->complete(
         "chunk", "expand", span_start, trace->now_us() - span_start,
@@ -698,21 +532,18 @@ PendingFrontier FrontierEngine::merge(
     }
   }
   if (chunks.size() == 1) {
-    // The single chunk covered the whole frontier: its dedup is already
-    // global and its parent indexing is the frontier's.
+    // The single chunk covered the whole frontier: its view dedup is
+    // already global and its parent indexing is the frontier's.
     if (chunks.front().spilled != nullptr) {
       restore_spilled(chunks.front());
     }
     return std::move(chunks.front());
   }
 
-  const KeyCodec codec = level_codec();
   PendingFrontier level;
   level.chunk = FrontierChunk{0, frontier_.size()};
   if (options_.keep_levels) level.children.resize(frontier_.size());
-  std::vector<int> view_remap;
-  std::vector<int> state_remap;
-  std::vector<std::uint32_t> state_key;
+  std::vector<std::uint32_t> view_remap;
   for (PendingFrontier& chunk : chunks) {
     // Spilled chunks come back one at a time, right before they fold
     // in, so at most one restored chunk is resident besides the merged
@@ -723,71 +554,37 @@ PendingFrontier FrontierEngine::merge(
     // long-key lookup per distinct view, not per state). Every chunk of
     // a level packs with the same KeyCodec, so the packed bytes carry
     // over verbatim.
-    view_remap.assign(chunk.views.size(), -1);
+    view_remap.resize(chunk.views.size());
     for (std::size_t v = 0; v < chunk.views.size(); ++v) {
       bool inserted;
-      view_remap[v] = level.views.intern(
+      view_remap[v] = static_cast<std::uint32_t>(level.views.intern(
           chunk.views.words_of(static_cast<int>(v)),
-          chunk.views.count_of(static_cast<int>(v)), &inserted);
+          chunk.views.count_of(static_cast<int>(v)), &inserted));
     }
-    state_remap.assign(chunk.states.size(), -1);
-    for (std::size_t s = 0; s < chunk.states.size(); ++s) {
-      const std::uint32_t* words =
-          chunk.state_index.words_of(static_cast<int>(s));
-      assert(chunk.state_index.count_of(static_cast<int>(s)) ==
-             codec.state_words);
-      // Remap the packed view-index fields into the merged table's
-      // numbering; the adversary-state field carries over.
-      state_key.assign(codec.state_words, 0);
-      put_bits(state_key.data(), 0, get_bits(words, 0, codec.adv_bits),
-               codec.adv_bits);
-      for (int q = 0; q < codec.n; ++q) {
-        const std::size_t pos =
-            codec.adv_bits + static_cast<std::size_t>(q) * codec.index_bits;
-        put_bits(state_key.data(), pos,
-                 static_cast<std::uint32_t>(view_remap[get_bits(
-                     words, pos, codec.index_bits)]),
-                 codec.index_bits);
-      }
-      bool inserted;
-      const int index = level.state_index.intern(state_key.data(),
-                                                 state_key.size(), &inserted);
-      state_remap[s] = index;
-      if (inserted) {
-        level.states.push_back(std::move(chunk.states[s]));
-        if (level.states.size() > options_.max_states) {
-          level.overflow = true;
-          return level;
-        }
-      } else {
-        level.states[static_cast<std::size_t>(index)].multiplicity +=
-            chunk.states[s].multiplicity;
-      }
+    const auto offset = static_cast<int>(level.states.size());
+    for (const std::uint32_t v : chunk.state_views) {
+      level.state_views.push_back(view_remap[v]);
+    }
+    std::move(chunk.states.begin(), chunk.states.end(),
+              std::back_inserter(level.states));
+    if (level.states.size() > options_.max_states) {
+      level.overflow = true;
+      return level;
     }
     if (options_.keep_levels) {
       for (std::size_t p = 0; p < chunk.children.size(); ++p) {
-        // Distinct chunk-local classes stay distinct after the merge, so
-        // the per-parent lists need only remapping, not re-dedup.
         std::vector<int>& kids = level.children[chunk.chunk.begin + p];
-        kids.reserve(chunk.children[p].size());
-        for (const int child : chunk.children[p]) {
-          kids.push_back(state_remap[static_cast<std::size_t>(child)]);
-        }
+        kids = std::move(chunk.children[p]);
+        for (int& child : kids) child += offset;
       }
     }
     // Fully folded in: release the chunk (and, for restored chunks, keep
     // the resident set at merged + one chunk instead of merged + all).
     chunk = PendingFrontier{};
   }
-  // Fix up the summed chunk stats for the cross-chunk dedup this merge
-  // performed: duplicates across chunks count as dedup hits, and the
-  // distinct view/state tallies become the merged tables' sizes.
-  const std::uint64_t chunk_states_total = level.stats.pending_states;
-  level.stats.pending_states = level.states.size();
-  level.stats.dedup_hits += chunk_states_total - level.states.size();
+  // The distinct view tally becomes the merged table's size.
   level.stats.pending_views = level.views.size();
-  level.stats.rehashes +=
-      level.views.rehashes() + level.state_index.rehashes();
+  level.stats.rehashes += level.views.rehashes();
   return level;
 }
 
@@ -795,7 +592,7 @@ void FrontierEngine::commit(PendingFrontier level) {
   assert(!level.overflow && "commit of an overflowed level");
   if (level.spilled != nullptr) restore_spilled(level);
   // The codec of the level being committed: derived BEFORE any interner
-  // mutation below, so it matches what expand()/merge() used.
+  // mutation below, so it matches what expand() used.
   const KeyCodec codec = level_codec();
   // Sequential hand-off: commits of one engine happen one at a time but
   // possibly from different pool threads across levels.
@@ -813,20 +610,18 @@ void FrontierEngine::commit(PendingFrontier level) {
   std::vector<ViewId> senders;
   for (std::size_t s = 0; s < level.states.size(); ++s) {
     PendingState& state = level.states[s];
-    const std::uint32_t* key = level.state_index.words_of(static_cast<int>(s));
+    const std::uint32_t* state_views =
+        level.state_views.data() + s * static_cast<std::size_t>(n);
     PrefixState out;
     out.inputs = std::move(state.inputs);
     out.reach = std::move(state.reach);
     out.adv_state = state.adv_state;
-    out.multiplicity = state.multiplicity;
     out.views.resize(static_cast<std::size_t>(n));
     for (int q = 0; q < n; ++q) {
-      const auto v = static_cast<std::size_t>(get_bits(
-          key, codec.adv_bits + static_cast<std::size_t>(q) * codec.index_bits,
-          codec.index_bits));
-      ViewId& id = resolved[v];
+      ViewId& id = resolved[state_views[q]];
       if (id < 0) {
-        const std::uint32_t* words = level.views.words_of(static_cast<int>(v));
+        const std::uint32_t* words =
+            level.views.words_of(static_cast<int>(state_views[q]));
         std::size_t pos = 0;
         const std::uint32_t recv = get_bits(words, pos, codec.q_bits);
         pos += codec.q_bits;

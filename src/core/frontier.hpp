@@ -8,26 +8,33 @@
 //
 //   partition  the current frontier is cut into deterministic chunks of
 //              at most `chunk_states` parents, in frontier order;
-//   expand     each chunk is expanded by one letter with chunk-local
-//              deduplication. Expansion is *interner-free*: a child view
-//              is recorded as its pending (process, round in-mask,
-//              parent-level sender ids) word sequence, which is exactly
-//              the structural identity ViewInterner::step interns -- two
-//              children are equal iff their pending views are equal.
-//              Pending views are deduplicated chunk-locally so state
-//              dedup keys are short (one word per process), and no
-//              shared state is written, so any number of chunks of one
-//              engine may expand concurrently on different threads;
-//   merge +    chunk results are deduplicated across chunks in chunk
-//   commit     order (first discovery wins, multiplicities sum) and only
-//              then interned: commit resolves each distinct pending view
+//   expand     each chunk is expanded by one letter. Expansion is
+//              *interner-free*: a child view is recorded as its pending
+//              (process, round in-mask, parent-level sender ids) word
+//              sequence, which is exactly the structural identity
+//              ViewInterner::step interns -- two child views are equal
+//              iff their pending views are equal. Pending views are
+//              deduplicated chunk-locally and no shared state is
+//              written, so any number of chunks of one engine may expand
+//              concurrently on different threads;
+//   merge +    chunk results are concatenated in chunk order, their
+//   commit     pending views deduplicated across chunks, and only then
+//              interned: commit resolves each distinct pending view
 //              exactly once, in first-use order. Because chunk order is
 //              frontier order, the merged level -- states, first_parent
-//              links, children links, multiplicities, and even the
-//              interner's id assignment order -- is identical to what a
-//              single serial scan of the whole frontier produces, for
-//              EVERY chunk size. Chunking is an execution detail that
-//              can never change a result.
+//              links, children links, and even the interner's id
+//              assignment order -- is identical to what a single serial
+//              scan of the whole frontier produces, for EVERY chunk
+//              size. Chunking is an execution detail that can never
+//              change a result.
+//
+// States need no deduplication: every (parent, letter) emission is a new
+// prefix class. Level-0 states have pairwise distinct views (one per
+// input vector). Every graph carries its self-loops, so a child's view
+// of p contains its parent's view of p: children of distinct parents
+// differ in some view. Two letters are distinct graphs (enforced by
+// MessageAdversary), so they differ in some receiver's in-mask, and the
+// children of one parent differ in that receiver's view.
 //
 // merge() is separated from commit() so a caller coordinating several
 // engines (runtime/sweep/parallel_solver.*) can apply the global
@@ -72,26 +79,20 @@ FrontierMode default_frontier_mode();
 std::optional<FrontierMode> frontier_mode_from_name(std::string_view name);
 const char* to_string(FrontierMode mode);
 
-/// Fixed-width bit layout of the engine's pending dedup keys, derived
+/// Fixed-width bit layout of the engine's pending view keys, derived
 /// once per level from quantities that are constant while that level
-/// expands (n, the expansion shape, the parent interner size, the parent
-/// frontier size, and the adversary's state_bound()). A view key
-/// [q, mask, senders...] and a state key [adv_state, view indices] are
-/// packed LSB-first into little-endian uint32 words; packing is
-/// injective, so dedup equality classes -- and with them every result
-/// byte -- are exactly those of the unpacked keys, while the
-/// WordSeqIndex pools (and the spill records built from them) shrink by
-/// the ratio of the summed bit widths to full words. Every chunk of one
-/// level uses the same widths, so merge() can re-intern chunk view keys
-/// byte-for-byte and only state keys need field-level remapping.
+/// expands (n and the parent interner size). A view key [q, mask,
+/// senders...] is packed LSB-first into little-endian uint32 words;
+/// packing is injective, so dedup equality classes -- and with them
+/// every result byte -- are exactly those of the unpacked keys, while
+/// the WordSeqIndex pools (and the spill records built from them) shrink
+/// by the ratio of the summed bit widths to full words. Every chunk of
+/// one level uses the same widths, so merge() can re-intern chunk view
+/// keys byte for byte.
 struct KeyCodec {
   std::uint32_t q_bits = 0;       ///< receiver process, < n
   std::uint32_t mask_bits = 0;    ///< round in-mask, n bits
   std::uint32_t sender_bits = 0;  ///< parent-level interned view ids
-  std::uint32_t adv_bits = 0;     ///< safety-automaton state
-  std::uint32_t index_bits = 0;   ///< pending-view table indices
-  std::uint32_t state_words = 0;  ///< packed state-key length in words
-  int n = 0;
 };
 
 /// Writes the low `bits` (<= 32) bits of `value` at absolute bit
@@ -127,8 +128,8 @@ inline std::uint32_t get_bits(const std::uint32_t* words, std::size_t pos,
 
 /// Append-only open-addressed map from word sequences (dedup keys) to
 /// dense indices, with the key material owned by the table -- the
-/// allocation-free workhorse behind pending-view and pending-state
-/// deduplication. Exposed here only because PendingFrontier embeds two.
+/// allocation-free workhorse behind pending-view deduplication. Exposed
+/// here only because PendingFrontier embeds one.
 class WordSeqIndex {
  public:
   /// Index of the key `words[0..count)`, inserting it if absent;
@@ -186,15 +187,14 @@ struct PendingState {
   InputVector inputs;
   ReachVector reach;
   AdvState adv_state = 0;
-  std::uint64_t multiplicity = 1;
-  /// Frontier index and letter of the first discovery.
+  /// Frontier index and letter of the emission.
   int parent = -1;
   int letter = -1;
 };
 
 /// One expanded-but-not-yet-interned level slice: the output of
 /// expand() (covering one chunk) and of merge() (covering the whole
-/// frontier). Views are stored as chunk-local dedup indices into
+/// frontier). Views are stored as slice-local dedup indices into
 /// `views`, whose key words are [process, mask, senders...] with sender
 /// ids referring to the PARENT level's interned views.
 class SpillTicket;
@@ -205,10 +205,9 @@ struct PendingFrontier {
   /// Distinct pending views of this slice; key words of view v are
   /// the KeyCodec packing of [process, mask, senders...].
   WordSeqIndex views;
-  /// State dedup table, parallel to `states`: key words of state s are
-  /// the KeyCodec packing of [adv_state, view index of process 0, ...,
-  /// view index of n-1].
-  WordSeqIndex state_index;
+  /// The states' view indices, n per state: process q's view in state s
+  /// is entry state_views[s * n + q] of `views`.
+  std::vector<std::uint32_t> state_views;
   /// children[i - chunk.begin] = local child indices of frontier parent
   /// i, in discovery order; filled only under keep_levels.
   std::vector<std::vector<int>> children;
@@ -218,7 +217,7 @@ struct PendingFrontier {
   /// AnalysisOptions::metrics only at commit() so truncated levels never
   /// contribute (the determinism contract in telemetry/metrics.hpp).
   telemetry::PendingStats stats;
-  /// Non-null iff states/views/state_index/children currently live in a
+  /// Non-null iff states/views/state_views/children currently live in a
   /// spill file instead of memory (core/spill.*); chunk, overflow, and
   /// stats stay resident so budget scans and stat sums never touch disk.
   /// merge() restores spilled slices one at a time, in chunk order.
@@ -230,15 +229,11 @@ struct PendingFrontier {
 };
 
 /// Shared early-abort accumulator for one level's concurrent chunk
-/// expansions: chunks report their dedup growth and stop once the
-/// running total exceeds the per-level state cap, so a level that is
-/// going to overflow costs O(max_states) instead of a full expansion.
-/// NOTE: chunk-local counts can overcount the merged level (chunks of
-/// one root may discover the same class), so a tripped budget is a
-/// signal to fall back to exact accounting -- one chunk per root, whose
-/// counts are exact because roots never share classes -- NOT an
-/// overflow verdict by itself. runtime/sweep/parallel_solver.cpp
-/// implements that two-pass protocol.
+/// expansions: chunks report their growth and stop once the running
+/// total exceeds the per-level state cap, so a level that is going to
+/// overflow costs O(max_states) instead of a full expansion. Chunk counts
+/// are exact (every emission is a new class; see the header comment), so
+/// a tripped budget is exactly the serial truncation condition.
 class FrontierBudget {
  public:
   explicit FrontierBudget(std::size_t max_states)
@@ -297,25 +292,25 @@ class FrontierEngine {
   /// frontier yields one empty chunk.
   std::vector<FrontierChunk> partition(std::size_t chunk_states) const;
 
-  /// Expands one chunk by one letter with chunk-local dedup. Read-only:
-  /// chunks of one engine may be expanded concurrently. When `budget` is
-  /// given the chunk reports its growth there and aborts (overflow set)
-  /// once the shared total trips -- see FrontierBudget for the exactness
-  /// caveat.
+  /// Expands one chunk by one letter with chunk-local view dedup.
+  /// Read-only: chunks of one engine may be expanded concurrently. When
+  /// `budget` is given the chunk reports its growth there and aborts
+  /// (overflow set) once the shared total trips.
   ///
-  /// The dedup representation is chosen per chunk by
+  /// The view dedup representation is chosen per chunk by
   /// options.frontier (kAuto by default): when the enumerable child-view
   /// key space -- at most sum over the distinct (process, in-mask) pairs
   /// of the product of the per-process sender-id bounds -- is small, the
-  /// chunk dedups through direct-indexed tables instead of hashing.
+  /// chunk dedups through a direct-indexed table instead of hashing.
   /// Keys, indices, and entry order are identical either way, so the
   /// choice (like the chunk size) can never change a result byte.
   PendingFrontier expand(const FrontierChunk& chunk,
                          FrontierBudget* budget = nullptr) const;
 
-  /// Deduplicates the chunk expansions -- which must be all chunks of
-  /// the current frontier, in partition order -- across chunks. Does not
-  /// touch the interner or the engine. A single chunk passes through.
+  /// Concatenates the chunk expansions -- which must be all chunks of
+  /// the current frontier, in partition order -- deduplicating their
+  /// pending views across chunks. Does not touch the interner or the
+  /// engine. A single chunk passes through.
   PendingFrontier merge(std::vector<PendingFrontier> chunks) const;
 
   /// Interns the pending views (each distinct view once, in first-use
@@ -379,8 +374,8 @@ class FrontierEngine {
   };
 
   /// The key bit-widths of the level currently being expanded, derived
-  /// from pre-commit state only -- expand(), merge(), and the head of
-  /// commit() (before any interner mutation) all see the same codec.
+  /// from pre-commit state only -- expand() and the head of commit()
+  /// (before any interner mutation) both see the same codec.
   KeyCodec level_codec() const;
 
   const MessageAdversary* adversary_;

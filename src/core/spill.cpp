@@ -201,12 +201,13 @@ struct FrontierSpill::Io {
       writer.put_raw(state.inputs.data(), n_inputs * sizeof(Value));
       writer.put_raw(state.reach.data(), n_reach * sizeof(NodeMask));
       writer.put<AdvState>(state.adv_state);
-      writer.put<std::uint64_t>(state.multiplicity);
       writer.put<std::int32_t>(state.parent);
       writer.put<std::int32_t>(state.letter);
     }
     save_table(writer, chunk.views);
-    save_table(writer, chunk.state_index);
+    writer.put<std::uint64_t>(chunk.state_views.size());
+    writer.put_raw(chunk.state_views.data(),
+                   chunk.state_views.size() * sizeof(std::uint32_t));
     writer.put<std::uint64_t>(chunk.children.size());
     for (const std::vector<int>& kids : chunk.children) {
       writer.put<std::uint64_t>(kids.size());
@@ -227,12 +228,13 @@ struct FrontierSpill::Io {
       state.reach.resize(n_reach);
       reader.get_raw(state.reach.data(), n_reach * sizeof(NodeMask));
       state.adv_state = reader.get<AdvState>();
-      state.multiplicity = reader.get<std::uint64_t>();
       state.parent = reader.get<std::int32_t>();
       state.letter = reader.get<std::int32_t>();
     }
     load_table(reader, chunk.views);
-    load_table(reader, chunk.state_index);
+    chunk.state_views.resize(reader.get<std::uint64_t>());
+    reader.get_raw(chunk.state_views.data(),
+                   chunk.state_views.size() * sizeof(std::uint32_t));
     chunk.children.resize(reader.get<std::uint64_t>());
     for (std::vector<int>& kids : chunk.children) {
       kids.resize(reader.get<std::uint64_t>());
@@ -286,7 +288,7 @@ void FrontierSpill::spill(PendingFrontier& chunk) {
   // Release the payload; the shell (chunk bounds, overflow, stats) stays.
   chunk.states = {};
   chunk.views = WordSeqIndex{};
-  chunk.state_index = WordSeqIndex{};
+  chunk.state_views = {};
   chunk.children = {};
   chunk.spilled = std::make_shared<SpillTicket>(path, written, this);
   staged_chunks_.fetch_add(1, std::memory_order_relaxed);

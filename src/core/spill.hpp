@@ -4,9 +4,9 @@
 // one at a time -- in the same deterministic (root, chunk) order the
 // merge already uses -- through merge()/commit(). Spilling is an
 // execution detail like the chunk size: a slice round-trips losslessly
-// (states, both KeyCodec-packed dedup tables, children, in order), so
-// artifacts are byte-identical at every budget, thread count, chunk
-// size, and frontier mode. What changes is only the resident-set bound:
+// (states, the KeyCodec-packed view table, view indices, children, in
+// order), so artifacts are byte-identical at every budget, thread count,
+// chunk size, and frontier mode. What changes is only the resident-set bound:
 // with spill on, a level holds the merged result plus at most one
 // restored chunk instead of every chunk at once.
 //
@@ -19,9 +19,8 @@
 //
 // Telemetry. Spill counters follow the commit-only contract of
 // telemetry/metrics.hpp: spill()/restore tallies are STAGED and only
-// folded into the visible totals when the level commits; discarded
-// passes (a tripped budget's pass-1 expansions, truncated levels) leave
-// no trace. The totals surface as JobTelemetry::spill -- a non-serialized
+// folded into the visible totals when the level commits; the expansions
+// of a truncated level leave no trace. The totals surface as JobTelemetry::spill -- a non-serialized
 // member like wall_seconds, shown by --metrics and never part of any
 // artifact (telemetry JSON artifacts are byte-identical spill-on vs off).
 #pragma once
@@ -54,7 +53,7 @@ std::uint64_t spill_budget_mb_to_bytes(std::uint64_t mb);
 class FrontierSpill;
 
 /// Handle to one spilled chunk's file. Deleting the ticket (e.g. when a
-/// tripped budget discards pass-1 expansions) unlinks the file; a
+/// truncated level discards its expansions) unlinks the file; a
 /// restore consumes the ticket after replaying it.
 class SpillTicket {
  public:
@@ -109,7 +108,7 @@ class FrontierSpill {
   bool should_spill(const PendingFrontier& chunk,
                     std::size_t level_chunks) const;
 
-  /// Serializes the chunk's payload (states, views, state_index,
+  /// Serializes the chunk's payload (states, views, state_views,
   /// children) to a new spill file and releases it from memory;
   /// chunk.spilled holds the ticket. chunk/overflow/stats stay resident.
   void spill(PendingFrontier& chunk);
@@ -120,8 +119,8 @@ class FrontierSpill {
   /// Folds the staged tallies of the level that just committed into the
   /// visible totals (one replay pass if anything was staged).
   void commit_level();
-  /// Drops staged tallies (tripped pass-1, truncated level); the files
-  /// themselves die with their tickets.
+  /// Drops staged tallies (truncated level); the files themselves die
+  /// with their tickets.
   void discard_staged();
 
   /// Committed totals only (staged work invisible until commit_level).

@@ -57,13 +57,11 @@ ComponentInfo component_from_json(const JsonValue& value) {
 telemetry::TelemetryCounters telemetry_from_json(const JsonValue& value) {
   telemetry::TelemetryCounters counters;
   counters.states_expanded = value.at("states_expanded").as_uint();
-  counters.state_dedup_hits = value.at("state_dedup_hits").as_uint();
   counters.states_committed = value.at("states_committed").as_uint();
   counters.pending_views = value.at("pending_views").as_uint();
   counters.views_interned = value.at("views_interned").as_uint();
   counters.chunks_expanded = value.at("chunks_expanded").as_uint();
   counters.dense_view_chunks = value.at("dense_view_chunks").as_uint();
-  counters.dense_state_chunks = value.at("dense_state_chunks").as_uint();
   counters.wordseq_rehashes = value.at("wordseq_rehashes").as_uint();
   counters.levels_committed = value.at("levels_committed").as_uint();
   counters.budget_early_aborts = value.at("budget_early_aborts").as_uint();

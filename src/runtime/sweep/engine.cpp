@@ -25,13 +25,11 @@ void write_telemetry_counters(JsonWriter& writer,
   writer.key("telemetry");
   writer.begin_object();
   writer.member("states_expanded", counters.states_expanded);
-  writer.member("state_dedup_hits", counters.state_dedup_hits);
   writer.member("states_committed", counters.states_committed);
   writer.member("pending_views", counters.pending_views);
   writer.member("views_interned", counters.views_interned);
   writer.member("chunks_expanded", counters.chunks_expanded);
   writer.member("dense_view_chunks", counters.dense_view_chunks);
-  writer.member("dense_state_chunks", counters.dense_state_chunks);
   writer.member("wordseq_rehashes", counters.wordseq_rehashes);
   writer.member("levels_committed", counters.levels_committed);
   writer.member("budget_early_aborts", counters.budget_early_aborts);

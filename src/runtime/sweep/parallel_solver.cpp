@@ -98,61 +98,31 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
     }
     first_item[num_roots] = items.size();
 
-    const auto expand_items = [&](FrontierBudget* budget) {
-      std::vector<PendingFrontier> expansions(items.size());
-      std::size_t chunks_done = 0;
-      pool.parallel_for(items.size(), [&](std::size_t i) {
-        expansions[i] =
-            shards[items[i].root].engine->expand(items[i].chunk, budget);
-        if (spill) spill->maybe_spill(expansions[i], items.size());
-        if (sharding.on_chunk) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          ++chunks_done;
-          sharding.on_chunk(ChunkProgress{options.depth, s, chunks_done,
-                                          items.size(), frontier_states});
-        }
-      });
-      return expansions;
-    };
-
-    // Pass 1: chunked expansion under the shared level budget. When the
-    // budget trips, the level *probably* overflows -- but chunk-local
-    // counts can overcount the merged level (chunks of one root can
-    // discover the same class), so unless pass 1 was already exact (one
-    // chunk per root) the decision is re-derived in an exact pass 2 with
-    // root-granular chunks, whose counts cannot overcount. Both passes
-    // abort early once max_states is provably exceeded, so a doomed
-    // level costs O(max_states), like the serial scan.
+    // One budgeted pass: chunk counts are exact (no two emissions are the
+    // same class; see core/frontier.hpp), so a tripped budget or an
+    // overflowed chunk means the level exceeds max_states -- the serial
+    // truncation condition -- and a doomed level costs O(max_states).
+    // Whether a level's total exceeds max_states is independent of
+    // scheduling, so the single abort tick is deterministic too.
     FrontierBudget budget(options.max_states);
-    std::vector<PendingFrontier> expansions = expand_items(&budget);
+    std::vector<PendingFrontier> expansions(items.size());
+    std::size_t chunks_done = 0;
+    pool.parallel_for(items.size(), [&](std::size_t i) {
+      expansions[i] =
+          shards[items[i].root].engine->expand(items[i].chunk, &budget);
+      if (spill) spill->maybe_spill(expansions[i], items.size());
+      if (sharding.on_chunk) {
+        const std::lock_guard<std::mutex> lock(progress_mutex);
+        ++chunks_done;
+        sharding.on_chunk(ChunkProgress{options.depth, s, chunks_done,
+                                        items.size(), frontier_states});
+      }
+    });
     bool tripped = budget.exceeded();
     for (const PendingFrontier& expansion : expansions) {
       tripped |= expansion.overflow;
     }
-    if (tripped && items.size() != num_roots) {
-      expansions.clear();  // drops any spill tickets: files unlink here
-      expansions.shrink_to_fit();
-      if (spill) spill->discard_staged();
-      items.clear();
-      for (std::size_t r = 0; r < num_roots; ++r) {
-        first_item[r] = r;
-        items.push_back(
-            Item{r, FrontierChunk{0, shards[r].engine->frontier().size()}});
-      }
-      first_item[num_roots] = num_roots;
-      FrontierBudget exact_budget(options.max_states);
-      expansions = expand_items(&exact_budget);
-      tripped = exact_budget.exceeded();
-      for (const PendingFrontier& expansion : expansions) {
-        tripped |= expansion.overflow;
-      }
-    }
     if (tripped) {
-      // Exact by now: root-granular counts never overcount, so a
-      // tripped budget or an overflowed chunk means the merged level
-      // exceeds max_states -- the serial truncation condition.
-      // Whether a level's final total exceeds max_states is independent
-      // of scheduling, so this single tick is deterministic too.
       if (metrics != nullptr) metrics->add_budget_abort();
       analysis.truncated = true;
       if (spill) spill->discard_staged();
@@ -172,25 +142,9 @@ DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
               static_cast<std::ptrdiff_t>(first_item[r + 1])));
       pending[r] = shards[r].engine->merge(std::move(mine));
     });
-
-    // The serial overflow condition on the merged level, checked before
-    // any interner mutation (see the header comment). With the budget
-    // not tripped this cannot fire (sum of chunk counts <= max_states
-    // bounds the merged size); kept as a safety net.
     std::size_t total = 0;
-    bool overflow = false;
     for (const PendingFrontier& level : pending) {
-      overflow |= level.overflow;
       total += level.states.size();
-    }
-    if (overflow || total > options.max_states) {
-      if (metrics != nullptr) metrics->add_budget_abort();
-      analysis.truncated = true;
-      if (spill) spill->discard_staged();
-      pool.parallel_for(num_roots, [&](std::size_t r) {
-        shards[r].engine->mark_truncated();
-      });
-      break;
     }
     pool.parallel_for(num_roots, [&](std::size_t r) {
       shards[r].engine->commit(std::move(pending[r]));

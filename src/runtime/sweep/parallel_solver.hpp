@@ -1,9 +1,8 @@
 // Chunk-sharded parallel depth-t epsilon-approximation.
 //
 // Work distribution is two-dimensional. The prefix space splits exactly
-// into one independent subtree per input vector ("root": the dedup key
-// contains every view and views contain their own inputs, so classes of
-// different input vectors never merge); each root is one FrontierEngine
+// into one independent subtree per input vector ("root": a state's
+// children depend only on that state); each root is one FrontierEngine
 // with a private ViewInterner. Below the root, every BFS level is cut
 // into fixed-size chunks of at most `chunk_states` frontier states
 // (FrontierEngine::partition), and the pool executes the resulting
@@ -14,27 +13,28 @@
 // safe without any locking.
 //
 // Determinism contract: chunk ids are deterministic (frontier order) and
-// every level is merged in (root, chunk) order -- first discovery wins,
-// multiplicities sum -- before the pending views are interned in merged
-// order. The merged level (states, links, multiplicities, and even the
-// per-root interner's id assignment order) is therefore identical to a
-// serial scan of the whole level, for EVERY chunk size and EVERY thread
-// count: `chunk_states` is an execution knob like the thread count and
-// can never change a result, a verdict, or a byte of serialized output
-// (the tests/golden/ artifacts are diffed with chunking forced to its
-// finest setting by ctest). After the last level, shard results are
+// every level is concatenated in (root, chunk) order before the pending
+// views are interned in merged order. The merged level (states, links,
+// and even the per-root interner's id assignment order) is therefore
+// identical to a serial scan of the whole level, for EVERY chunk size and
+// EVERY thread count: `chunk_states` is an execution knob like the thread
+// count and can never change a result, a verdict, or a byte of serialized
+// output (the tests/golden/ artifacts are diffed with chunking forced to
+// its finest setting by ctest). After the last level, shard results are
 // merged in root order into one DepthAnalysis, so every field is
 // bit-identical to the serial analyze_depth() output. The only internal
 // difference is the private numbering of interned view ids, which the
 // deterministic absorb() merge keeps consistent; no observable field
 // depends on id values, only on id equality.
 //
-// Truncation: a level overflows iff the sum of its per-root pending
-// sizes exceeds max_states -- the same condition the serial BFS checks.
-// The check runs BEFORE the level is interned (merge is separated from
-// commit exactly for this), so an overflowing level leaves every
-// interner as if it had never been attempted and verdicts (including
-// kResourceLimit) agree with the serial path bit for bit.
+// Truncation: a level overflows iff the sum of its chunk sizes exceeds
+// max_states -- the same condition the serial BFS checks, because chunk
+// counts are exact (every emission is a new class, core/frontier.hpp).
+// One shared FrontierBudget decides it during the single expansion pass,
+// BEFORE the level is interned (merge is separated from commit exactly
+// for this), so an overflowing level leaves every interner as if it had
+// never been attempted and verdicts (including kResourceLimit) agree
+// with the serial path bit for bit.
 #pragma once
 
 #include <cstddef>

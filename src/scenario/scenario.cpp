@@ -51,7 +51,7 @@ std::vector<Query> build_omission_n4(const GridOverrides& overrides) {
   options.max_depth = 3;
   // Enough for the depth-3 certificate of f = 2 (7,888,624 leaf classes);
   // budget-capped points past the frontier report RESOURCE-LIMIT after
-  // O(max_states) work (the two-pass budget in parallel_solver.cpp).
+  // O(max_states) work (the level budget in parallel_solver.cpp).
   options.max_states = 8'000'000;
   options.build_table = false;
   for (const FamilyPoint& point : family_grid("omission", n, f_min, f_max)) {

@@ -7,23 +7,17 @@ namespace topocon::telemetry {
 void PendingStats::add(const PendingStats& other) {
   chunks += other.chunks;
   dense_view_chunks += other.dense_view_chunks;
-  dense_state_chunks += other.dense_state_chunks;
   emissions += other.emissions;
-  dedup_hits += other.dedup_hits;
-  pending_states += other.pending_states;
   pending_views += other.pending_views;
   rehashes += other.rehashes;
 }
 
 void MetricsRegistry::add_pending(const PendingStats& stats) {
   states_expanded_.fetch_add(stats.emissions, std::memory_order_relaxed);
-  state_dedup_hits_.fetch_add(stats.dedup_hits, std::memory_order_relaxed);
   pending_views_.fetch_add(stats.pending_views, std::memory_order_relaxed);
   chunks_expanded_.fetch_add(stats.chunks, std::memory_order_relaxed);
   dense_view_chunks_.fetch_add(stats.dense_view_chunks,
                                std::memory_order_relaxed);
-  dense_state_chunks_.fetch_add(stats.dense_state_chunks,
-                                std::memory_order_relaxed);
   wordseq_rehashes_.fetch_add(stats.rehashes, std::memory_order_relaxed);
 }
 
@@ -74,8 +68,6 @@ JobTelemetry MetricsRegistry::snapshot() const {
   JobTelemetry out;
   out.counters.states_expanded =
       states_expanded_.load(std::memory_order_relaxed);
-  out.counters.state_dedup_hits =
-      state_dedup_hits_.load(std::memory_order_relaxed);
   out.counters.states_committed =
       states_committed_.load(std::memory_order_relaxed);
   out.counters.pending_views = pending_views_.load(std::memory_order_relaxed);
@@ -85,8 +77,6 @@ JobTelemetry MetricsRegistry::snapshot() const {
       chunks_expanded_.load(std::memory_order_relaxed);
   out.counters.dense_view_chunks =
       dense_view_chunks_.load(std::memory_order_relaxed);
-  out.counters.dense_state_chunks =
-      dense_state_chunks_.load(std::memory_order_relaxed);
   out.counters.wordseq_rehashes =
       wordseq_rehashes_.load(std::memory_order_relaxed);
   out.counters.levels_committed =

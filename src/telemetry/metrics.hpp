@@ -6,8 +6,8 @@
 // flush point; a truncated level contributes exactly one
 // budget_early_aborts tick and nothing else), so the counts are identical
 // across thread counts. They DO depend on the execution shape
-// (--chunk, --frontier): a different chunk partition dedups at different
-// boundaries and plans dense/sparse per chunk. Timings
+// (--chunk, --frontier): a different chunk partition dedups views at
+// different boundaries and plans dense/sparse per chunk. Timings
 // (LevelTiming::seconds, JobTelemetry::wall_seconds) are wall clock and
 // never deterministic; the JSON "telemetry" section embeds counters only.
 //
@@ -24,19 +24,16 @@ namespace topocon::telemetry {
 class TraceWriter;
 
 /// Expansion statistics accumulated inside a PendingFrontier while its
-/// dedup tables are still chunk-local. expand() fills one per chunk,
-/// merge() sums them across a root's chunks (adding the cross-chunk dedup
-/// it performs itself), and commit() flushes the merged totals into the
-/// job's MetricsRegistry.
+/// view table is still chunk-local. expand() fills one per chunk,
+/// merge() sums them across a root's chunks (adding the cross-chunk view
+/// dedup it performs itself), and commit() flushes the merged totals into
+/// the job's MetricsRegistry.
 struct PendingStats {
-  std::uint64_t chunks = 0;              ///< chunk expansions folded in
-  std::uint64_t dense_view_chunks = 0;   ///< chunks planned dense for views
-  std::uint64_t dense_state_chunks = 0;  ///< chunks planned dense for states
-  std::uint64_t emissions = 0;           ///< (parent, letter) child emissions
-  std::uint64_t dedup_hits = 0;          ///< emissions folded into a seen state
-  std::uint64_t pending_states = 0;      ///< distinct states after dedup
-  std::uint64_t pending_views = 0;       ///< distinct uninterned views
-  std::uint64_t rehashes = 0;            ///< WordSeqIndex growth rehashes
+  std::uint64_t chunks = 0;             ///< chunk expansions folded in
+  std::uint64_t dense_view_chunks = 0;  ///< chunks planned dense for views
+  std::uint64_t emissions = 0;          ///< (parent, letter) child emissions
+  std::uint64_t pending_views = 0;      ///< distinct uninterned views
+  std::uint64_t rehashes = 0;           ///< WordSeqIndex growth rehashes
 
   void add(const PendingStats& other);
 };
@@ -45,13 +42,11 @@ struct PendingStats {
 /// query + chunk size + frontier mode, at any thread count.
 struct TelemetryCounters {
   std::uint64_t states_expanded = 0;     ///< child emissions scanned
-  std::uint64_t state_dedup_hits = 0;    ///< emissions deduped away
   std::uint64_t states_committed = 0;    ///< states surviving into levels
   std::uint64_t pending_views = 0;       ///< distinct views before interning
   std::uint64_t views_interned = 0;      ///< ViewInterner growth
   std::uint64_t chunks_expanded = 0;     ///< chunk expansions committed
   std::uint64_t dense_view_chunks = 0;   ///< chunks on the dense view path
-  std::uint64_t dense_state_chunks = 0;  ///< chunks on the dense state path
   std::uint64_t wordseq_rehashes = 0;    ///< sparse-table growth rehashes
   std::uint64_t levels_committed = 0;    ///< committed (root-set, level) steps
   std::uint64_t budget_early_aborts = 0; ///< levels truncated by max_states
@@ -136,13 +131,11 @@ class MetricsRegistry {
 
  private:
   std::atomic<std::uint64_t> states_expanded_{0};
-  std::atomic<std::uint64_t> state_dedup_hits_{0};
   std::atomic<std::uint64_t> states_committed_{0};
   std::atomic<std::uint64_t> pending_views_{0};
   std::atomic<std::uint64_t> views_interned_{0};
   std::atomic<std::uint64_t> chunks_expanded_{0};
   std::atomic<std::uint64_t> dense_view_chunks_{0};
-  std::atomic<std::uint64_t> dense_state_chunks_{0};
   std::atomic<std::uint64_t> wordseq_rehashes_{0};
   std::atomic<std::uint64_t> levels_committed_{0};
   std::atomic<std::uint64_t> budget_early_aborts_{0};

@@ -1,10 +1,16 @@
 // Tests for the message-adversary families: safety automata, liveness
-// lassos, sampling guarantees, and the non-compactness exhibits of
-// Section 6.3 (admissible chains whose letter-wise limits are excluded).
+// lassos, sampling guarantees, the non-compactness exhibits of
+// Section 6.3 (admissible chains whose letter-wise limits are excluded),
+// and the distinct-letters invariant of every alphabet.
+#include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "adversary/compose.hpp"
 #include "adversary/finite_loss.hpp"
 #include "adversary/lossy_link.hpp"
 #include "adversary/omission.hpp"
@@ -27,6 +33,51 @@ TEST(Oblivious, EverythingAllowedAlways) {
   }
   EXPECT_TRUE(ma->admits_lasso({0, 1}, {2}));
   EXPECT_FALSE(ma->admits_lasso({0}, {}));  // empty cycle is no sequence
+}
+
+// ------------------------------------------------------ distinct letters
+
+/// The std::invalid_argument message of constructing `alphabet`, or ""
+/// if it constructs.
+std::string rejection_of(std::vector<Digraph> alphabet) {
+  try {
+    const ObliviousAdversary ma(2, std::move(alphabet), "dup");
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Alphabet, RepeatedGraphIsRejectedWithExactMessage) {
+  const Digraph right = Digraph::from_edges(2, {{0, 1}});
+  const Digraph left = Digraph::from_edges(2, {{1, 0}});
+  const Digraph both = Digraph::complete(2);
+  EXPECT_EQ(rejection_of({right, left, right}),
+            "message adversary 'dup': letters 0 and 2 are the same graph "
+            "{0->1}");
+  // Several repeats: the first letter that repeats an earlier one is
+  // named, with that earlier letter.
+  EXPECT_EQ(rejection_of({both, left, right, left, both}),
+            "message adversary 'dup': letters 1 and 3 are the same graph "
+            "{1->0}");
+  EXPECT_EQ(rejection_of({left, right, both}), "");
+}
+
+TEST(Alphabet, CombinatorsDedupTheirAlphabets) {
+  // Overlapping component alphabets: the product keeps the common graphs
+  // once, the union every graph once.
+  std::vector<std::unique_ptr<MessageAdversary>> product_parts;
+  product_parts.push_back(make_lossy_link(0b111));
+  product_parts.push_back(make_lossy_link(0b011));
+  const ProductAdversary product(std::move(product_parts));
+  EXPECT_EQ(product.alphabet_size(), 2);
+
+  std::vector<std::unique_ptr<MessageAdversary>> union_parts;
+  union_parts.push_back(make_lossy_link(0b011));
+  union_parts.push_back(make_lossy_link(0b110));
+  union_parts.push_back(make_lossy_link(0b111));
+  const UnionAdversary united(std::move(union_parts));
+  EXPECT_EQ(united.alphabet_size(), 3);
 }
 
 TEST(LossyLink, SubsetsSelectGraphs) {

@@ -69,9 +69,6 @@ TEST(EdgeCases, DepthZeroAnalysisHasInputLeavesOnly) {
   const DepthAnalysis analysis = analyze_depth(*ma, options);
   EXPECT_EQ(analysis.leaves().size(), 9u);  // 3^2 input vectors
   EXPECT_EQ(analysis.depth, 0);
-  for (const PrefixState& leaf : analysis.leaves()) {
-    EXPECT_EQ(leaf.multiplicity, 1u);
-  }
 }
 
 TEST(EdgeCases, AnalysisWithSharedInternerIsDeterministic) {

@@ -1,14 +1,20 @@
 // Tests for the depth-t epsilon-approximation (Definition 6.2): component
 // structure on the touchstone adversaries, the refinement laws of
-// Lemma 6.3, state deduplication and multiplicity accounting, and
-// consistency of the BFS with direct per-prefix computation.
+// Lemma 6.3, one leaf per admissible prefix, and consistency of the BFS
+// with direct per-prefix computation.
 #include <bit>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "adversary/compose.hpp"
+#include "adversary/heard_of.hpp"
 #include "adversary/lossy_link.hpp"
+#include "adversary/mobile_failure.hpp"
 #include "adversary/omission.hpp"
 #include "core/epsilon_approx.hpp"
 #include "ptg/reach.hpp"
@@ -96,18 +102,47 @@ TEST(EpsilonApprox, ComponentsRefineWithDepth) {
   }
 }
 
-// Multiplicities add up to |inputs| * |alphabet|^depth for oblivious MAs.
-TEST(EpsilonApprox, MultiplicityAccounting) {
-  const auto ma = make_lossy_link(0b111);
-  for (int depth = 0; depth <= 4; ++depth) {
-    const DepthAnalysis analysis = analyze_depth(*ma, opts(depth, false));
-    std::uint64_t total = 0;
-    for (const PrefixState& leaf : analysis.leaves()) {
-      total += leaf.multiplicity;
+/// Number of admissible letter sequences of the given length: a DP over
+/// the safety automaton's transition(), independent of the BFS.
+std::uint64_t admissible_sequences(const MessageAdversary& ma, int length) {
+  std::map<AdvState, std::uint64_t> ways{{ma.initial_state(), 1}};
+  for (int t = 0; t < length; ++t) {
+    std::map<AdvState, std::uint64_t> next;
+    for (const auto& [state, count] : ways) {
+      for (int letter = 0; letter < ma.alphabet_size(); ++letter) {
+        const AdvState to = ma.transition(state, letter);
+        if (to != kRejectState) next[to] += count;
+      }
     }
-    std::uint64_t expect = 4;  // binary inputs, n = 2
-    for (int t = 0; t < depth; ++t) expect *= 3;
-    EXPECT_EQ(total, expect) << "depth " << depth;
+    ways = std::move(next);
+  }
+  std::uint64_t total = 0;
+  for (const auto& [state, count] : ways) total += count;
+  return total;
+}
+
+// Each leaf is exactly one admissible prefix: self-loops plus distinct
+// letters mean no two (input vector, letter sequence) pairs share a
+// state, so there are |inputs| * #sequences leaves.
+TEST(EpsilonApprox, EachLeafIsOneAdmissiblePrefix) {
+  std::vector<std::unique_ptr<MessageAdversary>> adversaries;
+  adversaries.push_back(make_lossy_link(0b111));
+  adversaries.push_back(make_omission_adversary(3, 1));
+  adversaries.push_back(make_heard_of_rounds_adversary(3, 2));
+  adversaries.push_back(make_mobile_failure_adversary(3, 1));
+  adversaries.push_back(make_composed_adversary(parse_compose_spec(
+      R"({"op":"product","of":[{"family":"omission","n":3,"param":2},)"
+      R"({"family":"mobile_failure","n":3,"param":2}]})")));
+  for (const auto& ma : adversaries) {
+    const std::uint64_t inputs =
+        all_input_vectors(ma->num_processes(), 2).size();
+    for (int depth = 0; depth <= 3; ++depth) {
+      const DepthAnalysis analysis = analyze_depth(*ma, opts(depth, false));
+      ASSERT_FALSE(analysis.truncated) << ma->name();
+      EXPECT_EQ(analysis.leaves().size(),
+                inputs * admissible_sequences(*ma, depth))
+          << ma->name() << " depth " << depth;
+    }
   }
 }
 

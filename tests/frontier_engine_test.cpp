@@ -45,8 +45,6 @@ void expect_states_equal(const std::vector<PrefixState>& a,
     EXPECT_EQ(a[i].views, b[i].views) << what << " state " << i;
     EXPECT_EQ(a[i].reach, b[i].reach) << what << " state " << i;
     EXPECT_EQ(a[i].adv_state, b[i].adv_state) << what << " state " << i;
-    EXPECT_EQ(a[i].multiplicity, b[i].multiplicity)
-        << what << " state " << i;
   }
 }
 
@@ -270,8 +268,6 @@ TEST(FrontierEngine, ExpandIsReadOnlyAndChunksCompose) {
   for (std::size_t i = 0; i < whole.states.size(); ++i) {
     EXPECT_EQ(merged.states[i].parent, whole.states[i].parent) << i;
     EXPECT_EQ(merged.states[i].letter, whole.states[i].letter) << i;
-    EXPECT_EQ(merged.states[i].multiplicity, whole.states[i].multiplicity)
-        << i;
     EXPECT_EQ(merged.states[i].adv_state, whole.states[i].adv_state) << i;
   }
 }

@@ -1,8 +1,8 @@
 // The adaptive frontier representation (core/frontier.cpp): forcing the
-// dense direct-indexed dedup tables, forcing the sparse open-addressed
-// ones, and letting the per-chunk heuristic choose must all produce the
-// IDENTICAL DepthAnalysis -- every level, link, multiplicity, component,
-// and even the interner's id assignment order. The representation is an
+// dense direct-indexed view dedup table, forcing the sparse open-addressed
+// one, and letting the per-chunk heuristic choose must all produce the
+// IDENTICAL DepthAnalysis -- every level, link, component, and even the
+// interner's id assignment order. The representation is an
 // execution detail like chunk size and thread count; these tests are the
 // unit-level enforcement of the golden --frontier=dense/sparse CI lanes.
 #include <memory>
@@ -54,8 +54,6 @@ void expect_analyses_identical(const DepthAnalysis& a, const DepthAnalysis& b,
       EXPECT_EQ(a.levels[s][i].reach, b.levels[s][i].reach)
           << what << " level " << s << " state " << i;
       EXPECT_EQ(a.levels[s][i].adv_state, b.levels[s][i].adv_state)
-          << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].multiplicity, b.levels[s][i].multiplicity)
           << what << " level " << s << " state " << i;
     }
   }

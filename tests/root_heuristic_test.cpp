@@ -1,5 +1,6 @@
 // Cross-validation of the broadcaster-intersection heuristic (CGP-inspired
 // baseline, analysis/root_heuristic.hpp) against the topological checker.
+#include <algorithm>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -62,7 +63,12 @@ TEST(RootHeuristic, RandomizedN3DisagreementCensus) {
     const int size = 1 + static_cast<int>(rng() % 3);
     std::vector<Digraph> alphabet;
     for (int k = 0; k < size; ++k) {
-      alphabet.push_back(graphs[rng() % graphs.size()]);
+      // An oblivious adversary is a graph SET: repeated draws add nothing
+      // (and MessageAdversary rejects repeated letters).
+      const Digraph& g = graphs[rng() % graphs.size()];
+      if (std::find(alphabet.begin(), alphabet.end(), g) == alphabet.end()) {
+        alphabet.push_back(g);
+      }
     }
     const bool heuristic = root_intersection_heuristic(alphabet).solvable;
     const SolvabilityVerdict verdict =

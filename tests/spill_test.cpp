@@ -53,8 +53,6 @@ void expect_analyses_identical(const DepthAnalysis& a, const DepthAnalysis& b,
           << what << " level " << s << " state " << i;
       EXPECT_EQ(a.levels[s][i].adv_state, b.levels[s][i].adv_state)
           << what << " level " << s << " state " << i;
-      EXPECT_EQ(a.levels[s][i].multiplicity, b.levels[s][i].multiplicity)
-          << what << " level " << s << " state " << i;
     }
   }
   EXPECT_EQ(a.children, b.children) << what;

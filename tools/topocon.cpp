@@ -722,10 +722,10 @@ std::vector<sweep::JobRecord> unwrap(
 void print_metrics_table(
     const std::vector<api::Query>& queries,
     const std::vector<std::optional<telemetry::JobTelemetry>>& telemetry) {
-  Table table({"job", "expanded", "dedup", "committed", "interned",
-               "chunks", "levels", "high water", "aborts", "spilled",
-               "spill MB", "wall s"});
-  for (std::size_t column = 1; column <= 11; ++column) {
+  Table table({"job", "expanded", "committed", "interned", "chunks",
+               "levels", "high water", "aborts", "spilled", "spill MB",
+               "wall s"});
+  for (std::size_t column = 1; column <= 10; ++column) {
     table.align_right(column);
   }
   std::size_t rows = 0;
@@ -735,7 +735,6 @@ void print_metrics_table(
     const telemetry::SpillStats& spill = telemetry[j]->spill;
     table.add_row({api::label_of(queries[j]),
                    std::to_string(c.states_expanded),
-                   std::to_string(c.state_dedup_hits),
                    std::to_string(c.states_committed),
                    std::to_string(c.views_interned),
                    std::to_string(c.chunks_expanded),
