@@ -294,7 +294,8 @@ std::vector<FrontierChunk> FrontierEngine::partition(
 }
 
 PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
-                                       FrontierBudget* budget) const {
+                                       FrontierBudget* budget,
+                                       int depth) const {
   assert(chunk.begin <= chunk.end && chunk.end <= frontier_.size());
   const MessageAdversary& adversary = *adversary_;
   const int n = adversary.num_processes();
@@ -510,8 +511,9 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   if (trace != nullptr) {
     trace->complete(
         "chunk", "expand", span_start, trace->now_us() - span_start,
-        {telemetry::TraceArg::num("depth",
-                                  static_cast<std::uint64_t>(options_.depth)),
+        {telemetry::TraceArg::num(
+             "depth", static_cast<std::uint64_t>(
+                          depth > 0 ? depth : options_.depth)),
          telemetry::TraceArg::num("level",
                                   static_cast<std::uint64_t>(level_) + 1),
          telemetry::TraceArg::num("begin", chunk.begin),

@@ -304,8 +304,15 @@ class FrontierEngine {
   /// chunk dedups through a direct-indexed table instead of hashing.
   /// Keys, indices, and entry order are identical either way, so the
   /// choice (like the chunk size) can never change a result byte.
+  ///
+  /// `depth` is the target depth of the analysis pass this level belongs
+  /// to, the `depth` arg of the chunk's trace span. An engine advanced
+  /// across several depths (runtime/sweep/parallel_solver.*) must pass
+  /// it; 0 stands for the depth of the options the engine was built
+  /// with, which is right only for an engine serving a single pass.
   PendingFrontier expand(const FrontierChunk& chunk,
-                         FrontierBudget* budget = nullptr) const;
+                         FrontierBudget* budget = nullptr,
+                         int depth = 0) const;
 
   /// Concatenates the chunk expansions -- which must be all chunks of
   /// the current frontier, in partition order -- deduplicating their

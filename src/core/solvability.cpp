@@ -25,6 +25,19 @@ std::optional<SolvabilityVerdict> parse_solvability_verdict(
   return std::nullopt;
 }
 
+DepthStats depth_stats(const DepthAnalysis& analysis) {
+  DepthStats stats;
+  stats.depth = analysis.depth;
+  stats.num_leaf_classes = analysis.leaves().size();
+  stats.num_components = static_cast<int>(analysis.components.size());
+  stats.merged_components = analysis.merged_components;
+  stats.separated = analysis.valence_separated;
+  stats.valent_broadcastable = analysis.valent_broadcastable;
+  stats.strong_assignable = analysis.strong_assignable;
+  stats.interner_views = analysis.interner->size();
+  return stats;
+}
+
 SolvabilityResult check_solvability(const MessageAdversary& adversary,
                                     const SolvabilityOptions& options) {
   return check_solvability_with(
@@ -79,15 +92,7 @@ SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
       return result;
     }
 
-    DepthStats stats;
-    stats.depth = depth;
-    stats.num_leaf_classes = cheap.leaves().size();
-    stats.num_components = static_cast<int>(cheap.components.size());
-    stats.merged_components = cheap.merged_components;
-    stats.separated = cheap.valence_separated;
-    stats.valent_broadcastable = cheap.valent_broadcastable;
-    stats.strong_assignable = cheap.strong_assignable;
-    stats.interner_views = interner->size();
+    const DepthStats stats = depth_stats(cheap);
     result.per_depth.push_back(stats);
     if (on_depth) on_depth(stats);
 

@@ -80,6 +80,11 @@ struct DepthStats {
   friend bool operator==(const DepthStats&, const DepthStats&) = default;
 };
 
+/// The statistics row of a completed (untruncated) depth analysis.
+/// interner_views is the size of the analysis's interner, which the
+/// deepening driver shares across all depths of one check.
+DepthStats depth_stats(const DepthAnalysis& analysis);
+
 struct SolvabilityResult {
   SolvabilityVerdict verdict = SolvabilityVerdict::kNotSeparated;
   /// Depth of the certificate when solvable; -1 otherwise.
@@ -116,6 +121,14 @@ SolvabilityResult check_solvability_oracle(
 /// its sharded analysis here; check_solvability passes analyze_depth.
 /// Keeping one driver guarantees serial and parallel verdicts can only
 /// differ if the analyses differ.
+///
+/// Call order, which stateful analyses may rely on: one call per depth
+/// 1, 2, ... in increasing order with keep_levels = false, each with the
+/// same interner and otherwise identical options, stopping at the first
+/// truncated, certified, or max_depth analysis; then, only for a
+/// certified depth with build_table, at most one keep_levels = true call
+/// at that depth. The parallel solver keeps its root shards alive
+/// between the cheap calls and expands one new level per call.
 using DepthAnalyzeFn = std::function<DepthAnalysis(
     const AnalysisOptions&, const std::shared_ptr<ViewInterner>&)>;
 /// Streaming progress callback: invoked once per completed depth with the

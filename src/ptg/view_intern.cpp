@@ -131,24 +131,31 @@ ViewVector ViewInterner::of_prefix(const RunPrefix& prefix) {
 }
 
 std::vector<ViewId> ViewInterner::absorb(const ViewInterner& other) {
-  check_owner();
   std::vector<ViewId> remap;
+  absorb_from(other, remap);
+  return remap;
+}
+
+void ViewInterner::absorb_from(const ViewInterner& other,
+                               std::vector<ViewId>& remap) {
+  check_owner();
+  assert(remap.size() <= other.nodes_.size());
   remap.reserve(other.nodes_.size());
   std::vector<ViewId> senders;
-  for (const Node& node : other.nodes_) {
+  for (std::size_t id = remap.size(); id < other.nodes_.size(); ++id) {
+    const Node& node = other.nodes_[id];
     if (node.depth == 0) {
       remap.push_back(base(node.process, node.input));
       continue;
     }
     senders.clear();
     senders.reserve(node.senders.size());
-    for (const ViewId id : node.senders) {
+    for (const ViewId sender : node.senders) {
       // Step nodes only reference earlier ids, so the remap entry exists.
-      senders.push_back(remap[static_cast<std::size_t>(id)]);
+      senders.push_back(remap[static_cast<std::size_t>(sender)]);
     }
     remap.push_back(step(node.process, node.mask, senders));
   }
-  return remap;
 }
 
 }  // namespace topocon

@@ -92,6 +92,15 @@ class ViewInterner {
   /// per-shard interners in a deterministic shard order.
   std::vector<ViewId> absorb(const ViewInterner& other);
 
+  /// Incremental absorb(): re-interns only the views of `other` with ids
+  /// from remap.size() on and appends their translations to `remap`,
+  /// which must hold the translations of every earlier id of `other`.
+  /// Absorbing a growing interner in steps assigns exactly the ids one
+  /// absorb() of its final state would; the parallel solver uses it to
+  /// absorb only each depth's new views from shards that persist across
+  /// depths.
+  void absorb_from(const ViewInterner& other, std::vector<ViewId>& remap);
+
   /// Re-binds the instance to the calling thread. Required before mutating
   /// an interner that a *different* thread mutated earlier (sequential
   /// hand-off, e.g. results returned from a worker pool); without it the

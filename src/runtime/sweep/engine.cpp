@@ -276,28 +276,11 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       outcome.result = parallel_check_solvability(*adversary, solve, pool,
                                                   on_depth, sharding);
     } else {
-      auto interner = std::make_shared<ViewInterner>();
-      for (int depth = 1; depth <= job.analysis.depth; ++depth) {
-        AnalysisOptions per_depth = job.analysis;
-        per_depth.depth = depth;
-        per_depth.keep_levels = false;
-        if (registry.has_value()) per_depth.metrics = &*registry;
-        if (hooks.spill.has_value()) per_depth.spill = *hooks.spill;
-        const DepthAnalysis analysis = parallel_analyze_depth(
-            *adversary, per_depth, pool, interner, sharding);
-        if (analysis.truncated) break;
-        DepthStats stats;
-        stats.depth = depth;
-        stats.num_leaf_classes = analysis.leaves().size();
-        stats.num_components = static_cast<int>(analysis.components.size());
-        stats.merged_components = analysis.merged_components;
-        stats.separated = analysis.valence_separated;
-        stats.valent_broadcastable = analysis.valent_broadcastable;
-        stats.strong_assignable = analysis.strong_assignable;
-        stats.interner_views = interner->size();
-        outcome.series.push_back(stats);
-        if (on_depth) on_depth(stats);
-      }
+      AnalysisOptions series = job.analysis;
+      if (registry.has_value()) series.metrics = &*registry;
+      if (hooks.spill.has_value()) series.spill = *hooks.spill;
+      outcome.series = parallel_depth_series(*adversary, series, pool,
+                                             on_depth, sharding);
     }
     outcome.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -27,6 +27,20 @@
 // deterministic absorb() merge keeps consistent; no observable field
 // depends on id values, only on id equality.
 //
+// Persistence across depths: the root shards (engines and private
+// interners) live for a whole deepening job, not for one depth. The
+// depth-t prefix tree contains the depth-(t-1) tree as its first t-1
+// levels, so parallel_check_solvability and parallel_depth_series keep
+// one shard set, expand exactly one new level per depth, and absorb only
+// that level's new views into the shared interner (absorb_from extends
+// each shard's remap). The determinism contract above is unchanged: the
+// levels, links, and shared-interner ids each depth assembles are the
+// ones a fresh pass builds, because absorbing a shard's ids in steps
+// assigns the ids one absorb() of the whole shard would. Only the work
+// counters of telemetry/metrics.hpp drop, as levels are no longer
+// re-expanded. The keep_levels certify pass still expands from scratch,
+// after the persistent shards are released.
+//
 // Truncation: a level overflows iff the sum of its chunk sizes exceeds
 // max_states -- the same condition the serial BFS checks, because chunk
 // counts are exact (every emission is a new class, core/frontier.hpp).
@@ -39,6 +53,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "core/frontier.hpp"
 #include "core/solvability.hpp"
@@ -68,22 +83,33 @@ void set_default_chunk_states(std::size_t chunk_states);
 std::size_t default_chunk_states();
 
 /// Parallel analyze_depth(): one frontier engine per input vector,
-/// expanded chunk by chunk on the pool. If `interner` is null a fresh
-/// one is created; passing one allows sharing ids across depths (as the
-/// serial signature does).
+/// expanded chunk by chunk on the pool -- a one-shot use of the shard
+/// set that the deepening drivers below keep across depths. If
+/// `interner` is null a fresh one is created; passing one allows sharing
+/// ids across depths (as the serial signature does).
 DepthAnalysis parallel_analyze_depth(
     const MessageAdversary& adversary, const AnalysisOptions& options,
     ThreadPool& pool, std::shared_ptr<ViewInterner> interner = nullptr,
     const ShardingOptions& sharding = {});
 
+/// The depth series of a kDepthSeries job: the cheap (keep_levels =
+/// false) analyses of depths 1..options.depth on one persistent shard
+/// set, one DepthStats row per depth, stopping before the first truncated
+/// depth. `on_depth` streams each row as it completes.
+std::vector<DepthStats> parallel_depth_series(
+    const MessageAdversary& adversary, const AnalysisOptions& options,
+    ThreadPool& pool, const DepthProgressFn& on_depth = {},
+    const ShardingOptions& sharding = {});
+
 /// Parallel check_solvability(): the iterative-deepening driver with each
-/// depth's expansion chunk-sharded over the pool. Same contract and same
-/// results as the serial checker. Interners inside the returned result
-/// are re-homed to the calling thread, so tables and analyses can be used
-/// directly by the caller. `on_depth` streams each completed depth's
-/// statistics (see DepthProgressFn); it runs on the calling thread of
-/// this function and never changes the result. `sharding.on_chunk`
-/// additionally streams per-chunk progress inside every depth.
+/// depth's expansion chunk-sharded over the pool and the shards kept
+/// across depths. Same contract and same results as the serial checker.
+/// Interners inside the returned result are re-homed to the calling
+/// thread, so tables and analyses can be used directly by the caller.
+/// `on_depth` streams each completed depth's statistics (see
+/// DepthProgressFn); it runs on the calling thread of this function and
+/// never changes the result. `sharding.on_chunk` additionally streams
+/// per-chunk progress inside every depth.
 SolvabilityResult parallel_check_solvability(
     const MessageAdversary& adversary, const SolvabilityOptions& options,
     ThreadPool& pool, const DepthProgressFn& on_depth = {},

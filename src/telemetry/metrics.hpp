@@ -112,8 +112,8 @@ class MetricsRegistry {
   /// One truncated (never committed) level.
   void add_budget_abort();
 
-  /// Fold one analysis call's committed spill totals in (end-of-call
-  /// flush from the parallel solver; may arrive from several depths).
+  /// Fold one shard set's committed spill totals in (flushed when the
+  /// parallel solver releases the set; a job may release several).
   void add_spill(const SpillStats& stats);
 
   /// Raise the frontier high-water mark.

@@ -229,6 +229,57 @@ TEST(ViewInterner, ViewsAreCumulative) {
   }
 }
 
+// absorb_from() in steps, as the parallel solver calls it once per depth on
+// shards that keep growing, must assign exactly the ids that re-absorbing
+// each whole shard at every step assigns (the per-depth absorb() it
+// replaces), and one absorb() of a finished shard assigns them too.
+TEST(ViewInterner, IncrementalAbsorbMatchesWholeAbsorb) {
+  std::mt19937_64 rng(11);
+  const auto graphs = all_graphs(3);
+  constexpr int kShards = 3;
+  std::vector<ViewInterner> shards(kShards);
+  std::vector<std::vector<ViewVector>> runs(kShards);
+  for (int r = 0; r < kShards; ++r) {
+    for (int run = 0; run < 4; ++run) {
+      runs[static_cast<std::size_t>(r)].push_back(
+          shards[static_cast<std::size_t>(r)].initial(
+              {static_cast<Value>(rng() % 2), static_cast<Value>(rng() % 2),
+               static_cast<Value>(rng() % 2)}));
+    }
+  }
+  ViewInterner stepped;
+  ViewInterner whole;
+  std::vector<std::vector<ViewId>> remaps(kShards);
+  ViewInterner solo;  // absorbs shard 0 alone, in steps
+  std::vector<ViewId> solo_remap;
+  for (int round = 0; round < 4; ++round) {
+    solo.absorb_from(shards[0], solo_remap);
+    for (int r = 0; r < kShards; ++r) {
+      auto& shard = shards[static_cast<std::size_t>(r)];
+      auto& remap = remaps[static_cast<std::size_t>(r)];
+      stepped.absorb_from(shard, remap);
+      EXPECT_EQ(whole.absorb(shard), remap) << "round " << round;
+      ASSERT_EQ(stepped.size(), whole.size());
+      for (ViewVector& views : runs[static_cast<std::size_t>(r)]) {
+        views = shard.advance(views, graphs[rng() % graphs.size()]);
+      }
+    }
+  }
+  for (std::size_t id = 0; id < whole.size(); ++id) {
+    const auto& a = stepped.node(static_cast<ViewId>(id));
+    const auto& b = whole.node(static_cast<ViewId>(id));
+    EXPECT_EQ(a.process, b.process);
+    EXPECT_EQ(a.input, b.input);
+    EXPECT_EQ(a.mask, b.mask);
+    EXPECT_EQ(a.senders, b.senders);
+  }
+  // A single shard absorbed in steps or once at the end: same ids.
+  solo.absorb_from(shards[0], solo_remap);
+  ViewInterner once;
+  EXPECT_EQ(once.absorb(shards[0]), solo_remap);
+  EXPECT_EQ(once.size(), shards[0].size());
+}
+
 // ------------------------------------------------------------------ reach
 
 TEST(Reach, MatchesConeTimeZeroLevel) {

@@ -1,9 +1,11 @@
 // Unit tests for the parallel sweep engine: thread-pool semantics
 // (including nesting), exact agreement of the chunk-sharded depth
-// analysis with the serial one (at several forced chunk sizes),
-// SweepSpec execution with deterministic result ordering, and
-// byte-identical JSON across thread counts.
+// analysis with the serial one (at several forced chunk sizes), the
+// incremental deepening on shards kept across depths against the
+// single-scan reference, SweepSpec execution with deterministic result
+// ordering, and byte-identical JSON across thread counts.
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/family.hpp"
+#include "adversary/heard_of.hpp"
 #include "adversary/lossy_link.hpp"
 #include "adversary/omission.hpp"
 #include "core/solvability.hpp"
@@ -337,6 +340,143 @@ TEST(ParallelCheck, ChunkedVerdictAndStatsMatchUnchunked) {
   }
   ASSERT_TRUE(chunked.table.has_value());
   EXPECT_EQ(chunked.table->size(), base.table->size());
+}
+
+// ---- ParallelDeepening: one shard set across all depths of a check -------
+
+/// Runs `body` at threads {1, 4} x chunk {1, default}.
+void for_each_execution(
+    const std::function<void(ThreadPool&, const ShardingOptions&)>& body) {
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{0}}) {
+      ShardingOptions sharding;
+      sharding.chunk_states = chunk_states;
+      SCOPED_TRACE(testing::Message()
+                   << "threads " << threads << " chunk " << chunk_states);
+      body(pool, sharding);
+    }
+  }
+}
+
+void expect_same_check(const SolvabilityResult& oracle,
+                       const SolvabilityResult& parallel) {
+  EXPECT_EQ(parallel.verdict, oracle.verdict);
+  EXPECT_EQ(parallel.certified_depth, oracle.certified_depth);
+  EXPECT_EQ(parallel.per_depth, oracle.per_depth);
+  ASSERT_EQ(parallel.analysis.has_value(), oracle.analysis.has_value());
+  if (oracle.analysis.has_value()) {
+    expect_analysis_equal(*oracle.analysis, *parallel.analysis);
+  }
+}
+
+// Each depth of the incremental check expands one new level on the shards
+// kept from the previous depth; every per-depth row (interned-view counts
+// included) and the final analysis must still equal the single-scan
+// reference, which re-expands every depth from scratch.
+TEST(ParallelDeepening, MatchesOracleAtEveryDepth) {
+  struct Case {
+    std::unique_ptr<MessageAdversary> adversary;
+    int max_depth;
+  };
+  std::vector<Case> cases;
+  cases.push_back({make_lossy_link(0b111), 6});
+  cases.push_back({make_heard_of_adversary(2, 1), 5});
+  for (const Case& c : cases) {
+    SolvabilityOptions options;
+    options.max_depth = c.max_depth;
+    const SolvabilityResult oracle =
+        check_solvability_oracle(*c.adversary, options);
+    ASSERT_EQ(oracle.verdict, SolvabilityVerdict::kNotSeparated);
+    ASSERT_EQ(oracle.per_depth.size(),
+              static_cast<std::size_t>(c.max_depth));
+    for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
+      expect_same_check(oracle, sweep::parallel_check_solvability(
+                                    *c.adversary, options, pool, {},
+                                    sharding));
+    });
+  }
+}
+
+// The work counters prove the saving: six depths commit six levels, each
+// exactly once, instead of 1 + 2 + ... + 6.
+TEST(ParallelDeepening, CommitsEveryLevelOnce) {
+  const auto ma = make_lossy_link(0b111);
+  SolvabilityOptions options;
+  options.max_depth = 6;
+  const SolvabilityResult oracle = check_solvability_oracle(*ma, options);
+  std::uint64_t level_sizes = 0;
+  for (const DepthStats& stats : oracle.per_depth) {
+    level_sizes += stats.num_leaf_classes;
+  }
+  for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
+    telemetry::MetricsRegistry registry;
+    SolvabilityOptions traced = options;
+    traced.metrics = &registry;
+    sweep::parallel_check_solvability(*ma, traced, pool, {}, sharding);
+    const telemetry::TelemetryCounters counters = registry.snapshot().counters;
+    EXPECT_EQ(counters.levels_committed, 6u);
+    EXPECT_EQ(counters.states_committed, level_sizes);
+  });
+}
+
+// omission(3,2) has 176 classes at level 1 and 3872 at level 2: the second
+// depth's one new level overflows a 3871 cap on the kept shards, and the
+// result carries the depth-1 analysis exactly as the reference does.
+TEST(ParallelDeepening, TruncationKeepsTheLastCompleteDepth) {
+  const auto ma = make_omission_adversary(3, 2);
+  SolvabilityOptions options;
+  options.max_depth = 4;
+  options.max_states = 3871;
+  const SolvabilityResult oracle = check_solvability_oracle(*ma, options);
+  ASSERT_EQ(oracle.verdict, SolvabilityVerdict::kResourceLimit);
+  ASSERT_EQ(oracle.analysis->depth, 1);
+  for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
+    const SolvabilityResult parallel =
+        sweep::parallel_check_solvability(*ma, options, pool, {}, sharding);
+    expect_same_check(oracle, parallel);
+    EXPECT_TRUE(parallel.analysis->truncated);
+  });
+}
+
+// The certify pass runs from scratch after the kept shards are released;
+// its table must decide every prefix exactly like the serial checker's.
+TEST(ParallelDeepening, CertifiedTableMatchesSerial) {
+  const auto ma = make_lossy_link(0b011);
+  SolvabilityOptions options;
+  options.max_depth = 5;
+  options.build_table = true;
+  const SolvabilityResult serial = check_solvability(*ma, options);
+  ASSERT_EQ(serial.verdict, SolvabilityVerdict::kSolvable);
+  ASSERT_TRUE(serial.table.has_value());
+  for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
+    const SolvabilityResult parallel =
+        sweep::parallel_check_solvability(*ma, options, pool, {}, sharding);
+    expect_same_check(serial, parallel);
+    ASSERT_TRUE(parallel.table.has_value());
+    const DecisionTable& a = *serial.table;
+    const DecisionTable& b = *parallel.table;
+    EXPECT_EQ(b.depth(), a.depth());
+    EXPECT_EQ(b.size(), a.size());
+    EXPECT_EQ(b.entries_per_round(), a.entries_per_round());
+    EXPECT_EQ(b.decided_fraction(), a.decided_fraction());
+    // Ids differ between the interners; decisions per prefix may not.
+    const auto& levels_a = serial.analysis->levels;
+    const auto& levels_b = parallel.analysis->levels;
+    ASSERT_EQ(levels_b.size(), levels_a.size());
+    for (std::size_t s = 0; s < levels_a.size(); ++s) {
+      ASSERT_EQ(levels_b[s].size(), levels_a[s].size());
+      for (std::size_t i = 0; i < levels_a[s].size(); ++i) {
+        for (std::size_t p = 0; p < levels_a[s][i].views.size(); ++p) {
+          EXPECT_EQ(b.decide(static_cast<int>(s), static_cast<ProcessId>(p),
+                             levels_b[s][i].views[p]),
+                    a.decide(static_cast<int>(s), static_cast<ProcessId>(p),
+                             levels_a[s][i].views[p]))
+              << "level " << s << " state " << i << " process " << p;
+        }
+      }
+    }
+  });
 }
 
 // ---- SweepSpec / run_sweep_on -------------------------------------------

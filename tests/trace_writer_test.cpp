@@ -1,8 +1,9 @@
 // The Chrome-trace span writer: the emitted document is well-formed JSON
 // (parsed back with the repo's own strict reader), events carry the
 // Trace Event Format fields chrome://tracing requires, string escaping
-// is safe, threads get stable small tids, and a traced Session run
-// produces properly nested job > depth > level > chunk spans.
+// is safe, threads get stable small tids, a traced Session run
+// produces properly nested job > depth > level > chunk spans, and a
+// deepening check labels every level and chunk with its own depth.
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -13,9 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/lossy_link.hpp"
 #include "api/api.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/json.hpp"
+#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace topocon {
@@ -179,6 +184,67 @@ TEST(TraceWriter, SessionRunEmitsNestedSpans) {
   for (const Span& chunk : by_category["expand"]) {
     EXPECT_EQ(chunk.name, "chunk");
     EXPECT_TRUE(contained_in_any(chunk, by_category["level"])) << chunk.ts;
+  }
+}
+
+// The shards of a deepening check persist across depths, so each depth
+// expands exactly one level (level == depth) and every chunk span inside
+// it must carry that depth -- not the depth the engines were built for.
+TEST(TraceWriter, DeepeningLabelsChunksWithTheirLevelsDepth) {
+  struct Labeled {
+    Span span;
+    std::uint64_t depth = 0;
+    std::uint64_t level = 0;
+  };
+  std::ostringstream out;
+  {
+    TraceWriter writer(out);
+    telemetry::MetricsRegistry registry(&writer);
+    SolvabilityOptions options;
+    options.max_depth = 3;
+    options.metrics = &registry;
+    sweep::ThreadPool pool(2);
+    sweep::ShardingOptions sharding;
+    sharding.chunk_states = 1;
+    const SolvabilityResult result = sweep::parallel_check_solvability(
+        *make_lossy_link(0b111), options, pool, {}, sharding);
+    ASSERT_EQ(result.per_depth.size(), 3u);
+  }
+  const sweep::JsonValue doc = sweep::JsonReader::parse(out.str());
+  std::vector<Labeled> levels;
+  std::vector<Labeled> chunks;
+  for (const sweep::JsonValue& event : doc.elements) {
+    if (event.at("ph").as_string() != "X") continue;
+    Labeled labeled;
+    labeled.span.name = event.at("name").as_string();
+    labeled.span.category = event.at("cat").as_string();
+    labeled.span.ts = event.at("ts").as_uint();
+    labeled.span.dur = event.at("dur").as_uint();
+    if (labeled.span.category != "level" &&
+        labeled.span.category != "expand") {
+      continue;
+    }
+    labeled.depth = event.at("args").at("depth").as_uint();
+    labeled.level = event.at("args").at("level").as_uint();
+    (labeled.span.category == "level" ? levels : chunks).push_back(labeled);
+  }
+
+  ASSERT_EQ(levels.size(), 3u);
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(levels[i].depth, i + 1);
+    EXPECT_EQ(levels[i].level, levels[i].depth);
+  }
+  ASSERT_FALSE(chunks.empty());
+  for (const Labeled& chunk : chunks) {
+    bool enclosed = false;
+    for (const Labeled& level : levels) {
+      if (level.level != chunk.level || !level.span.contains(chunk.span)) {
+        continue;
+      }
+      enclosed = true;
+      EXPECT_EQ(chunk.depth, level.depth) << "chunk at " << chunk.span.ts;
+    }
+    EXPECT_TRUE(enclosed) << "chunk at " << chunk.span.ts;
   }
 }
 
