@@ -282,8 +282,9 @@ class FrontierEngine {
 
   /// Depth expanded so far (0 right after construction).
   int level() const { return level_; }
-  /// True once a level overflowed max_states; the frontier then still
-  /// holds the last complete level.
+  /// True once advance() found a level overflowing max_states; the
+  /// frontier then still holds the last complete level. Callers driving
+  /// expand/merge/commit themselves track truncation on their side.
   bool truncated() const { return truncated_; }
   const std::vector<PrefixState>& frontier() const { return frontier_; }
 
@@ -326,10 +327,6 @@ class FrontierEngine {
   /// level. Re-binds the interner to the calling thread (sequential
   /// hand-off); at most one commit per engine may run at a time.
   void commit(PendingFrontier level);
-
-  /// Records that the next level overflowed (the caller decided via the
-  /// global budget); the frontier keeps the last complete level.
-  void mark_truncated() { truncated_ = true; }
 
   /// Serial convenience: partition + expand + merge + commit in one
   /// call. Returns false (and marks truncated) on overflow.

@@ -57,8 +57,8 @@ class ShardSet {
   const AnalysisOptions options_;
   ThreadPool& pool_;
   const std::shared_ptr<ViewInterner> interner_;
-  const ShardingOptions sharding_;
   const std::size_t chunk_states_;
+  const ChunkProgressFn on_chunk_;
   // Out-of-core tier (core/spill.*): expansions exceeding their fair
   // share of the budget go to temp files between expand and merge. Like
   // the chunk size, never observable in any result byte.
@@ -78,9 +78,9 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
       pool_(pool),
       interner_(interner ? std::move(interner)
                          : std::make_shared<ViewInterner>()),
-      sharding_(sharding),
       chunk_states_(sharding.chunk_states > 0 ? sharding.chunk_states
                                               : default_chunk_states()),
+      on_chunk_(sharding.on_chunk),
       shards_(all_input_vectors(adversary.num_processes(),
                                 options.num_values)
                   .size()) {
@@ -146,11 +146,11 @@ void ShardSet::advance(int depth) {
     expansions[i] =
         shards_[items[i].root].engine->expand(items[i].chunk, &budget, depth);
     if (spill_) spill_->maybe_spill(expansions[i], items.size());
-    if (sharding_.on_chunk) {
+    if (on_chunk_) {
       const std::lock_guard<std::mutex> lock(progress_mutex_);
       ++chunks_done;
-      sharding_.on_chunk(ChunkProgress{depth, s, chunks_done, items.size(),
-                                       frontier_states});
+      on_chunk_(ChunkProgress{depth, s, chunks_done, items.size(),
+                              frontier_states});
     }
   });
   bool tripped = budget.exceeded();
@@ -161,9 +161,6 @@ void ShardSet::advance(int depth) {
     if (metrics != nullptr) metrics->add_budget_abort();
     truncated_ = true;
     if (spill_) spill_->discard_staged();
-    pool_.parallel_for(num_roots, [&](std::size_t r) {
-      shards_[r].engine->mark_truncated();
-    });
     return;
   }
 
