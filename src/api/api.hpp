@@ -5,9 +5,9 @@
 //
 //   api::Query    WHAT to compute: a tagged union over one adversary
 //                 grid point (FamilyPoint), pure serializable data.
-//   api::Session  HOW it runs: owns the thread pool, the ViewInterner
-//                 arena, and the outcome history for its lifetime, and
-//                 streams progress to an api::Observer.
+//   api::Session  HOW it runs: owns the thread pool and the outcome
+//                 history for its lifetime, and streams progress to an
+//                 api::Observer.
 //
 // How each query variant maps onto the paper
 // (Nowak, Schmid, Winkler, PODC 2019):

@@ -61,18 +61,6 @@ std::vector<sweep::JobOutcome> Session::run(const std::string& name,
   std::vector<sweep::JobOutcome> outcomes =
       sweep::run_sweep_on(spec, pool_, hooks);
 
-  // Retain the certificate interners: outcomes may be summarized and
-  // dropped by the caller while tables live on (session arena contract).
-  for (const sweep::JobOutcome& outcome : outcomes) {
-    if (outcome.result.analysis.has_value() &&
-        outcome.result.analysis->interner) {
-      interner_arena_.push_back(outcome.result.analysis->interner);
-    }
-    if (outcome.result.table.has_value()) {
-      interner_arena_.push_back(outcome.result.table->interner());
-    }
-  }
-
   std::vector<sweep::JobRecord> records;
   records.reserve(outcomes.size());
   for (const sweep::JobOutcome& outcome : outcomes) {

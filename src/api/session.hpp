@@ -1,16 +1,18 @@
 // Session: the one entry point every front end shares.
 //
-// A Session owns, for its lifetime, the three resources a solver run
-// needs -- so consecutive runs amortize them instead of rebuilding them
-// per call (run_sweep's historical behavior):
+// A Session owns, for its lifetime, the two resources consecutive solver
+// runs share -- so they amortize them instead of rebuilding them per
+// call (run_sweep's historical behavior):
 //
 //   * the work-helping ThreadPool jobs and their root shards execute on;
-//   * the ViewInterner arena: the interners backing every certificate
-//     (decision tables, final analyses) a run returns are retained and
-//     re-homed here, so artifacts from earlier runs stay replayable for
-//     as long as the Session lives;
 //   * the outcome history: the JSON-visible record of every named run,
 //     serializable as one topocon-sweep-v1 document (write_json).
+//
+// The Session retains no interner. The ViewInterner behind a certificate
+// (decision table, final analysis) is shared-owned by the objects that
+// refer to it, so it lives exactly as long as the last outcome, analysis,
+// or table holding it, and a table copied out of an outcome stays
+// replayable after the outcome is gone.
 //
 // Determinism contract (inherited from the engine): for a fixed query
 // list, every field of the outcomes and every byte of the serialized
@@ -41,7 +43,6 @@
 #include <vector>
 
 #include "api/query.hpp"
-#include "ptg/view_intern.hpp"
 #include "runtime/sweep/engine.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 
@@ -129,7 +130,7 @@ class Session {
 
   /// Runs the queries on the session pool; outcomes are indexed like
   /// `queries`, with every interner re-homed to the calling thread and
-  /// retained in the session arena. Appends the run's records to the
+  /// owned by the outcome. Appends the run's records to the
   /// history under `name`. Throws std::invalid_argument on an invalid
   /// grid point (before anything runs).
   std::vector<sweep::JobOutcome> run(const std::string& name,
@@ -158,8 +159,6 @@ class Session {
   SessionOptions options_;
   sweep::ThreadPool pool_;
   History history_;
-  /// Keeps certificate interners of past runs alive (see header comment).
-  std::vector<std::shared_ptr<ViewInterner>> interner_arena_;
 };
 
 }  // namespace topocon::api

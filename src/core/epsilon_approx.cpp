@@ -1,9 +1,11 @@
 #include "core/epsilon_approx.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <chrono>
-#include <map>
+#include <cstdint>
 #include <unordered_map>
 
 #include "core/frontier.hpp"
@@ -37,6 +39,9 @@ struct StateKeyHash {
     return h;
   }
 };
+
+// Leaves per parallel_for index of the component passes.
+constexpr std::size_t kLeafBlock = std::size_t{1} << 15;
 
 }  // namespace
 
@@ -105,77 +110,144 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
 }
 
 void compute_components(const AnalysisOptions& options,
-                        DepthAnalysis& analysis) {
+                        DepthAnalysis& analysis,
+                        const ParallelFor& parallel_for) {
+  telemetry::TraceWriter* trace =
+      options.metrics != nullptr ? options.metrics->trace() : nullptr;
+  const std::uint64_t span_start = trace != nullptr ? trace->now_us() : 0;
   const int n = analysis.num_processes;
   const std::vector<PrefixState>& leaves = analysis.levels.back();
+  const std::size_t blocks = (leaves.size() + kLeafBlock - 1) / kLeafBlock;
+  const auto for_each_leaf = [&](std::size_t block, const auto& body) {
+    const std::size_t end = std::min(leaves.size(), (block + 1) * kLeafBlock);
+    for (std::size_t i = block * kLeafBlock; i < end; ++i) body(i);
+  };
   UnionFind uf(leaves.size());
   if (options.topology == AdjacencyTopology::kMin) {
-    // Minimum topology: union leaves sharing any process's view id.
+    // Minimum topology: union leaves sharing any process's view id. The
+    // first leaf to claim an id's slot represents it; every later leaf
+    // with that id joins it. Ids are dense, so the slots are a flat
+    // array over the interner, reset per process.
+    std::vector<int> first_leaf(analysis.interner->size());
     for (int p = 0; p < n; ++p) {
-      std::unordered_map<ViewId, int> first_leaf;
-      for (std::size_t i = 0; i < leaves.size(); ++i) {
-        const ViewId id = leaves[i].views[static_cast<std::size_t>(p)];
-        const auto [it, inserted] =
-            first_leaf.try_emplace(id, static_cast<int>(i));
-        if (!inserted) uf.unite(it->second, static_cast<int>(i));
-      }
+      std::fill(first_leaf.begin(), first_leaf.end(), -1);
+      run_parallel(parallel_for, blocks, [&](std::size_t block) {
+        for_each_leaf(block, [&](std::size_t i) {
+          const ViewId id = leaves[i].views[static_cast<std::size_t>(p)];
+          std::atomic_ref<int> slot(first_leaf[static_cast<std::size_t>(id)]);
+          int claimed = slot.load(std::memory_order_relaxed);
+          if (claimed < 0 &&
+              slot.compare_exchange_strong(claimed, static_cast<int>(i),
+                                           std::memory_order_relaxed)) {
+            return;
+          }
+          uf.unite(claimed, static_cast<int>(i));
+        });
+      });
     }
   } else {
-    // P-view topology: union leaves with equal JOINT P-views (the exact
-    // tuple of member views is the map key).
+    // P-view topology: union leaves with equal JOINT P-views, found
+    // through a flat open-addressed table of leaf indices hashed by the
+    // tuple of member views and compared leaf against leaf.
     assert(options.pview_set != 0);
-    std::map<std::vector<ViewId>, int> first_leaf;
-    std::vector<ViewId> tuple;
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      tuple.clear();
-      NodeMask rest = options.pview_set & full_mask(n);
-      while (rest != 0) {
-        const int p = std::countr_zero(rest);
-        rest &= rest - 1;
-        tuple.push_back(leaves[i].views[static_cast<std::size_t>(p)]);
+    const NodeMask members = options.pview_set & full_mask(n);
+    const auto tuple_hash = [&](std::size_t i) {
+      std::uint64_t h = 0x9e3779b97f4a7c15ull;
+      for (NodeMask rest = members; rest != 0; rest &= rest - 1) {
+        h ^= static_cast<std::uint32_t>(
+            leaves[i].views[static_cast<std::size_t>(std::countr_zero(rest))]);
+        h *= 0xff51afd7ed558ccdull;
+        h ^= h >> 32;
       }
-      const auto [it, inserted] =
-          first_leaf.try_emplace(tuple, static_cast<int>(i));
-      if (!inserted) uf.unite(it->second, static_cast<int>(i));
+      return h;
+    };
+    const auto same_tuple = [&](std::size_t a, std::size_t b) {
+      for (NodeMask rest = members; rest != 0; rest &= rest - 1) {
+        const auto p = static_cast<std::size_t>(std::countr_zero(rest));
+        if (leaves[a].views[p] != leaves[b].views[p]) return false;
+      }
+      return true;
+    };
+    std::vector<int> slots(std::bit_ceil(std::max<std::size_t>(
+                               16, 2 * leaves.size())),
+                           -1);
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      std::size_t pos = tuple_hash(i) & mask;
+      while (slots[pos] >= 0 &&
+             !same_tuple(static_cast<std::size_t>(slots[pos]), i)) {
+        pos = (pos + 1) & mask;
+      }
+      if (slots[pos] < 0) {
+        slots[pos] = static_cast<int>(i);
+      } else {
+        uf.unite(slots[pos], static_cast<int>(i));
+      }
     }
   }
-  analysis.leaf_component = uf.component_ids();
+  analysis.leaf_component = uf.component_ids(parallel_for);
   const int num_components = uf.num_sets();
 
-  // ---- Component summaries.
-  analysis.components.assign(static_cast<std::size_t>(num_components),
-                             ComponentInfo{});
-  // Per component, per process: first seen input value (-1 = none yet) and
-  // whether it stayed uniform.
-  std::vector<std::vector<Value>> first_input(
-      static_cast<std::size_t>(num_components),
-      std::vector<Value>(static_cast<std::size_t>(n), -1));
-  std::vector<NodeMask> nonuniform(static_cast<std::size_t>(num_components),
-                                   0);
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    const PrefixState& leaf = leaves[i];
-    const auto c = static_cast<std::size_t>(analysis.leaf_component[i]);
-    ComponentInfo& info = analysis.components[c];
-    if (info.num_leaves == 0) {
-      info.common_broadcast = full_mask(n);
-      info.common_input_values = ~std::uint32_t{0};
-    }
-    info.num_leaves += 1;
-    const Value v = uniform_value(leaf.inputs);
-    if (v >= 0) info.valence_mask |= 1u << v;
-    std::uint32_t present = 0;
-    for (const Value x : leaf.inputs) {
-      present |= 1u << x;
-    }
-    info.common_input_values &= present;
-    info.common_broadcast &= broadcast_complete(leaf.reach);
-    for (int p = 0; p < n; ++p) {
-      Value& seen = first_input[c][static_cast<std::size_t>(p)];
-      const Value x = leaf.inputs[static_cast<std::size_t>(p)];
-      if (seen < 0) {
-        seen = x;
-      } else if (seen != x) {
-        nonuniform[c] |= NodeMask{1} << p;
+  // ---- Component summaries, by leaf ranges. Each block summarizes its
+  // runs of consecutive same-component leaves with order-free reductions
+  // only (sum, OR, AND, and the OR of input bits per process, which
+  // records "two distinct inputs seen"), so reducing the runs in any
+  // grouping gives the serial result.
+  struct Run {
+    int component = 0;
+    std::int64_t leaves = 0;
+    std::uint32_t valences = 0;
+    std::uint32_t common_inputs = ~std::uint32_t{0};
+    NodeMask common_broadcast = 0;
+  };
+  std::vector<std::vector<Run>> runs(blocks);
+  // run_inputs[block][k * n + p] = OR of 1 << input of p over run k.
+  std::vector<std::vector<std::uint32_t>> run_inputs(blocks);
+  run_parallel(parallel_for, blocks, [&](std::size_t block) {
+    std::vector<Run>& mine = runs[block];
+    std::vector<std::uint32_t>& seen = run_inputs[block];
+    for_each_leaf(block, [&](std::size_t i) {
+      const PrefixState& leaf = leaves[i];
+      const int c = analysis.leaf_component[i];
+      if (mine.empty() || mine.back().component != c) {
+        mine.push_back(Run{c, 0, 0, ~std::uint32_t{0}, full_mask(n)});
+        seen.resize(seen.size() + static_cast<std::size_t>(n), 0);
+      }
+      Run& run = mine.back();
+      run.leaves += 1;
+      const Value v = uniform_value(leaf.inputs);
+      if (v >= 0) run.valences |= 1u << v;
+      std::uint32_t* inputs = seen.data() + seen.size() - n;
+      std::uint32_t present = 0;
+      for (int p = 0; p < n; ++p) {
+        const std::uint32_t bit = 1u
+                                  << leaf.inputs[static_cast<std::size_t>(p)];
+        present |= bit;
+        inputs[p] |= bit;
+      }
+      run.common_inputs &= present;
+      run.common_broadcast &= broadcast_complete(leaf.reach);
+    });
+  });
+  ComponentInfo empty;
+  empty.common_broadcast = full_mask(n);
+  empty.common_input_values = ~std::uint32_t{0};
+  analysis.components.assign(static_cast<std::size_t>(num_components), empty);
+  std::vector<std::uint32_t> inputs_seen(
+      static_cast<std::size_t>(num_components) * static_cast<std::size_t>(n),
+      0);
+  for (std::size_t block = 0; block < blocks; ++block) {
+    for (std::size_t k = 0; k < runs[block].size(); ++k) {
+      const Run& run = runs[block][k];
+      const auto c = static_cast<std::size_t>(run.component);
+      ComponentInfo& info = analysis.components[c];
+      info.num_leaves += run.leaves;
+      info.valence_mask |= run.valences;
+      info.common_input_values &= run.common_inputs;
+      info.common_broadcast &= run.common_broadcast;
+      for (std::size_t p = 0; p < static_cast<std::size_t>(n); ++p) {
+        inputs_seen[c * static_cast<std::size_t>(n) + p] |=
+            run_inputs[block][k * static_cast<std::size_t>(n) + p];
       }
     }
   }
@@ -186,7 +258,14 @@ void compute_components(const AnalysisOptions& options,
   analysis.strong_assignable = true;
   for (std::size_t c = 0; c < analysis.components.size(); ++c) {
     ComponentInfo& info = analysis.components[c];
-    info.broadcasters = info.common_broadcast & ~nonuniform[c];
+    NodeMask nonuniform = 0;
+    for (int p = 0; p < n; ++p) {
+      if (std::popcount(inputs_seen[c * static_cast<std::size_t>(n) +
+                                    static_cast<std::size_t>(p)]) >= 2) {
+        nonuniform |= NodeMask{1} << p;
+      }
+    }
+    info.broadcasters = info.common_broadcast & ~nonuniform;
     if (info.num_valences() >= 2) {
       analysis.valence_separated = false;
       ++analysis.merged_components;
@@ -211,6 +290,14 @@ void compute_components(const AnalysisOptions& options,
     if (info.assigned_value_strong < 0) analysis.strong_assignable = false;
   }
   analysis.strong_assignable &= analysis.valence_separated;
+  if (trace != nullptr) {
+    trace->complete(
+        "components", "components", span_start, trace->now_us() - span_start,
+        {telemetry::TraceArg::num("depth",
+                                  static_cast<std::uint64_t>(analysis.depth)),
+         telemetry::TraceArg::num("leaves", leaves.size()),
+         telemetry::TraceArg::num("components", analysis.components.size())});
+  }
 }
 
 DepthAnalysis analyze_depth(const MessageAdversary& adversary,

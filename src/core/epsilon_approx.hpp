@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
+#include "core/parallel_for.hpp"
 #include "ptg/prefix.hpp"
 #include "ptg/reach.hpp"
 #include "ptg/view_intern.hpp"
@@ -276,9 +277,13 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
 
 /// Builds leaf_component, components, and the separation/broadcastability
 /// flags from analysis.levels.back(); requires num_processes, num_values,
-/// and the leaves to be in place.
+/// the interner, and the leaves to be in place. The unions, the labelling
+/// finds, and the per-component summaries run by leaf ranges on
+/// `parallel_for` (core/parallel_for.hpp); every label and summary is
+/// independent of how the ranges are scheduled.
 void compute_components(const AnalysisOptions& options,
-                        DepthAnalysis& analysis);
+                        DepthAnalysis& analysis,
+                        const ParallelFor& parallel_for = {});
 
 /// Reconstructs a concrete run prefix (inputs + graphs) that belongs to the
 /// given leaf class, by walking the BFS tree backwards. Requires

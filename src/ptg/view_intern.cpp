@@ -1,5 +1,6 @@
 #include "ptg/view_intern.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -8,6 +9,8 @@
 namespace topocon {
 
 namespace {
+
+constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 
 [[noreturn]] void die(const char* message) {
   std::fprintf(stderr, "ViewInterner misuse: %s\n", message);
@@ -78,10 +81,16 @@ ViewId ViewInterner::step(ProcessId q, NodeMask mask,
     }
   }
 #endif
-  StepKey key{q, mask, sender_ids};
-  const auto it = step_table_.find(key);
-  if (it != step_table_.end()) return it->second;
+  const std::uint64_t hash = step_hash(q, mask, sender_ids);
+  if (2 * (num_steps_ + 1) > step_slots_.size()) grow_steps();
+  const std::size_t slot = step_slot(q, mask, sender_ids, hash);
+  if (step_slots_[slot] != kEmptySlot) {
+    return static_cast<ViewId>(step_slots_[slot] & 0xffffffffu);
+  }
   const auto id = static_cast<ViewId>(nodes_.size());
+  step_slots_[slot] = (hash & ~std::uint64_t{0xffffffffu}) |
+                      static_cast<std::uint32_t>(id);
+  ++num_steps_;
   Node node;
   node.process = q;
   // Depth = sender depth + 1; the self-loop guarantees q itself appears
@@ -90,9 +99,67 @@ ViewId ViewInterner::step(ProcessId q, NodeMask mask,
       nodes_[static_cast<std::size_t>(sender_ids.front())].depth + 1;
   node.mask = mask;
   node.senders = sender_ids;
-  step_table_.emplace(std::move(key), id);
   nodes_.push_back(std::move(node));
   return id;
+}
+
+ViewId ViewInterner::find_base(ProcessId p, Value x) const {
+  const auto it = base_table_.find((static_cast<std::uint64_t>(p) << 32) |
+                                   static_cast<std::uint32_t>(x));
+  return it == base_table_.end() ? -1 : it->second;
+}
+
+ViewId ViewInterner::find_step(ProcessId q, NodeMask mask,
+                               const std::vector<ViewId>& sender_ids) const {
+  if (step_slots_.empty()) return -1;
+  const std::uint64_t entry =
+      step_slots_[step_slot(q, mask, sender_ids,
+                            step_hash(q, mask, sender_ids))];
+  return entry == kEmptySlot ? -1
+                             : static_cast<ViewId>(entry & 0xffffffffu);
+}
+
+std::uint64_t ViewInterner::step_hash(ProcessId q, NodeMask mask,
+                                      const std::vector<ViewId>& sender_ids) {
+  std::uint64_t h =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(q)) << 32) ^
+      mask;
+  for (const ViewId id : sender_ids) {
+    h = (h ^ static_cast<std::uint32_t>(id)) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  // Final avalanche: the low bits pick the slot, the high bits tag it.
+  h *= 0xbf58476d1ce4e5b9ull;
+  return h ^ (h >> 31);
+}
+
+std::size_t ViewInterner::step_slot(ProcessId q, NodeMask mask,
+                                    const std::vector<ViewId>& sender_ids,
+                                    std::uint64_t hash) const {
+  const std::size_t wrap = step_slots_.size() - 1;
+  const std::uint64_t tag = hash & ~std::uint64_t{0xffffffffu};
+  for (std::size_t slot = hash & wrap;; slot = (slot + 1) & wrap) {
+    const std::uint64_t entry = step_slots_[slot];
+    if (entry == kEmptySlot) return slot;
+    if ((entry & ~std::uint64_t{0xffffffffu}) != tag) continue;
+    const Node& node = nodes_[entry & 0xffffffffu];
+    if (node.process == q && node.mask == mask && node.senders == sender_ids) {
+      return slot;
+    }
+  }
+}
+
+void ViewInterner::grow_steps() {
+  std::vector<std::uint64_t> old = std::move(step_slots_);
+  step_slots_.assign(std::max<std::size_t>(64, 2 * old.size()), kEmptySlot);
+  const std::size_t wrap = step_slots_.size() - 1;
+  for (const std::uint64_t entry : old) {
+    if (entry == kEmptySlot) continue;
+    const Node& node = nodes_[entry & 0xffffffffu];
+    std::size_t slot = step_hash(node.process, node.mask, node.senders) & wrap;
+    while (step_slots_[slot] != kEmptySlot) slot = (slot + 1) & wrap;
+    step_slots_[slot] = entry;
+  }
 }
 
 ViewVector ViewInterner::initial(const InputVector& inputs) {

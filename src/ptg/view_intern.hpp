@@ -53,7 +53,7 @@ using ViewVector = std::vector<ViewId>;
 /// instance to the first mutating thread and abort on mutation from any
 /// other thread; sequential hand-off between threads is legitimate and is
 /// declared with attach_to_current_thread(). Concurrent expansion uses one
-/// interner per shard, merged afterwards with absorb() -- see
+/// interner per shard, merged afterwards with sweep::absorb_depth -- see
 /// runtime/sweep/. One instance is shared by an analysis and any
 /// simulations replaying its decision tables.
 class ViewInterner {
@@ -88,18 +88,24 @@ class ViewInterner {
   /// Re-interns every view of `other` into this interner (parents before
   /// children, so sender references resolve) and returns the translation
   /// vector: remap[id in other] = id in this. Structural dedup makes the
-  /// operation idempotent; the parallel sweep engine uses it to merge
-  /// per-shard interners in a deterministic shard order.
+  /// operation idempotent.
   std::vector<ViewId> absorb(const ViewInterner& other);
 
   /// Incremental absorb(): re-interns only the views of `other` with ids
   /// from remap.size() on and appends their translations to `remap`,
   /// which must hold the translations of every earlier id of `other`.
   /// Absorbing a growing interner in steps assigns exactly the ids one
-  /// absorb() of its final state would; the parallel solver uses it to
-  /// absorb only each depth's new views from shards that persist across
-  /// depths.
+  /// absorb() of its final state would. The serial reference of the
+  /// parallel solver's per-depth absorb (sweep::absorb_depth).
   void absorb_from(const ViewInterner& other, std::vector<ViewId>& remap);
+
+  /// Read-only lookups: the id base() / step() would return if the view
+  /// is interned already, -1 otherwise. They never mutate, so any number
+  /// of threads may look up concurrently while no thread mutates (the
+  /// parallel absorb's first phase, runtime/sweep/parallel_solver.*).
+  ViewId find_base(ProcessId p, Value x) const;
+  ViewId find_step(ProcessId q, NodeMask mask,
+                   const std::vector<ViewId>& sender_ids) const;
 
   /// Re-binds the instance to the calling thread. Required before mutating
   /// an interner that a *different* thread mutated earlier (sequential
@@ -120,22 +126,16 @@ class ViewInterner {
   }
 
  private:
-  struct StepKey {
-    ProcessId q;
-    NodeMask mask;
-    std::vector<ViewId> senders;
-    bool operator==(const StepKey&) const = default;
-  };
-  struct StepKeyHash {
-    std::size_t operator()(const StepKey& k) const noexcept {
-      std::size_t h = static_cast<std::size_t>(k.q) * 0x9e3779b97f4a7c15ull;
-      h ^= k.mask + 0x9e3779b9u + (h << 6) + (h >> 2);
-      for (const ViewId id : k.senders) {
-        h ^= static_cast<std::size_t>(id) + 0x9e3779b9u + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
+  /// Hash of a step key (q, mask, sender ids).
+  static std::uint64_t step_hash(ProcessId q, NodeMask mask,
+                                 const std::vector<ViewId>& sender_ids);
+  /// Slot of the step key in step_slots_: the slot holding its id, or
+  /// the empty slot where it would go. step_slots_ must be nonempty.
+  std::size_t step_slot(ProcessId q, NodeMask mask,
+                        const std::vector<ViewId>& sender_ids,
+                        std::uint64_t hash) const;
+  /// Doubles step_slots_ and re-inserts every step node.
+  void grow_steps();
 
   /// Aborts unless the calling thread owns this interner, claiming
   /// ownership on the first mutation. Cheap: one relaxed load on the
@@ -143,7 +143,12 @@ class ViewInterner {
   void check_owner();
 
   std::unordered_map<std::uint64_t, ViewId> base_table_;
-  std::unordered_map<StepKey, ViewId, StepKeyHash> step_table_;
+  /// Open-addressed index of the step nodes (linear probing, at most half
+  /// full): a slot holds the high half of its key's hash above the node
+  /// id, or kEmptySlot. Keys are compared against nodes_, so the table
+  /// stores no key of its own.
+  std::vector<std::uint64_t> step_slots_;
+  std::size_t num_steps_ = 0;
   std::vector<Node> nodes_;
   /// Id of the thread that owns mutation rights; default-constructed until
   /// the first mutation.

@@ -1,9 +1,12 @@
 #include "runtime/sweep/parallel_solver.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -19,14 +22,17 @@ namespace {
 
 std::atomic<std::size_t> g_default_chunk_states{0};
 
+// States per parallel_for index of the range assembly.
+constexpr std::size_t kAssembleBlock = std::size_t{1} << 14;
+
 // One root's engine plus the private interner it expands into. The
 // interner must outlive the engine and stay address-stable, hence the
 // struct instead of engine-owned storage.
 struct RootShard {
-  ViewInterner interner;
+  std::optional<ViewInterner> interner;
   std::optional<FrontierEngine> engine;
   /// remap[id] = the shared interner's id of private view `id`, for
-  /// every view absorbed so far (extended by ViewInterner::absorb_from).
+  /// every view absorbed so far (extended by absorb_depth).
   std::vector<ViewId> remap;
 };
 
@@ -65,6 +71,8 @@ class ShardSet {
   std::optional<FrontierSpill> spill_;
   std::vector<RootShard> shards_;
   int level_ = 0;
+  /// Depth of the deepest views absorbed into interner_ (-1 = none).
+  int absorbed_ = -1;
   bool truncated_ = false;
   std::mutex progress_mutex_;
 };
@@ -88,7 +96,8 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
   if (spill_options.budget_bytes > 0) spill_.emplace(spill_options);
   // Level 0: one engine (and private interner) per root.
   pool_.parallel_for(shards_.size(), [&](std::size_t r) {
-    shards_[r].engine.emplace(adversary_, options_, shards_[r].interner,
+    shards_[r].interner.emplace();
+    shards_[r].engine.emplace(adversary_, options_, *shards_[r].interner,
                               static_cast<int>(r), static_cast<int>(r) + 1);
   });
 }
@@ -205,6 +214,8 @@ void ShardSet::advance(int depth) {
 
 DepthAnalysis ShardSet::analyze(int depth) {
   assert(depth >= level_);
+  // keep_levels sets are one-shot: assembly moves the history out.
+  assert(!options_.keep_levels || !shards_[0].engine->levels().empty());
   while (level_ < depth && !truncated_) advance(depth);
   const std::size_t num_roots = shards_.size();
   const int reached = level_;
@@ -214,86 +225,190 @@ DepthAnalysis ShardSet::analyze(int depth) {
   analysis.interner = interner_;
   analysis.depth = reached;
   analysis.truncated = reached < depth;
+  telemetry::TraceWriter* trace =
+      options_.metrics != nullptr ? options_.metrics->trace() : nullptr;
+  const std::uint64_t span_start = trace != nullptr ? trace->now_us() : 0;
+  const std::size_t views_before = interner_->size();
 
-  // ---- Deterministic merge, in root order. Each shard's views are
-  // absorbed in id order, so absorbing only the ids added since the last
-  // request assigns the same shared ids as absorbing the whole shard.
+  // ---- Absorb the new views, one view depth at a time, so the shared
+  // ids are those of a serial scan of the whole level (and, a level per
+  // request, those of absorb_from applied shard by shard).
+  std::vector<AbsorbSource> sources;
+  sources.reserve(num_roots);
   for (RootShard& shard : shards_) {
-    interner_->absorb_from(shard.interner, shard.remap);
+    sources.push_back(AbsorbSource{&*shard.interner, &shard.remap});
   }
-  // offsets[s][r] = index offset of shard r within merged level s.
-  const auto offsets_of = [&](int s) {
-    std::vector<int> offsets(num_roots + 1, 0);
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      offsets[r + 1] =
-          offsets[r] +
-          static_cast<int>(
-              shards_[r].engine->level_sizes()[static_cast<std::size_t>(s)]);
-    }
-    return offsets;
+  while (absorbed_ < reached) {
+    ++absorbed_;
+    absorb_depth(*interner_, sources, absorbed_, pool_);
+  }
+
+  // ---- Range assembly: root r owns [offsets[s][r], offsets[s][r + 1])
+  // of merged level s and fills it on its own lanes, remapping views
+  // into the shared interner; ranges are cut at kAssembleBlock states so
+  // a heavy root spreads over the pool.
+  const int first_level = options_.keep_levels ? 0 : reached;
+  std::vector<std::vector<std::size_t>> offsets;
+  struct Range {
+    int level;
+    std::size_t root;
+    std::size_t begin;
+    std::size_t end;
   };
-  const auto merge_level = [&](int s) {
-    std::vector<PrefixState> merged;
-    merged.reserve(static_cast<std::size_t>(offsets_of(s)[num_roots]));
-    for (const RootShard& shard : shards_) {
-      const FrontierEngine& engine = *shard.engine;
-      const std::vector<PrefixState>& local =
-          options_.keep_levels ? engine.levels()[static_cast<std::size_t>(s)]
-                               : engine.frontier();
-      for (const PrefixState& state : local) {
-        PrefixState copy = state;
-        for (ViewId& id : copy.views) {
-          id = shard.remap[static_cast<std::size_t>(id)];
-        }
-        merged.push_back(std::move(copy));
+  std::vector<Range> ranges;
+  for (int s = first_level; s <= reached; ++s) {
+    std::vector<std::size_t> level_offsets(num_roots + 1, 0);
+    for (std::size_t r = 0; r < num_roots; ++r) {
+      const std::size_t size =
+          shards_[r].engine->level_sizes()[static_cast<std::size_t>(s)];
+      level_offsets[r + 1] = level_offsets[r] + size;
+      for (std::size_t begin = 0; begin < size; begin += kAssembleBlock) {
+        ranges.push_back(
+            Range{s, r, begin, std::min(size, begin + kAssembleBlock)});
       }
     }
-    return merged;
+    offsets.push_back(std::move(level_offsets));
+  }
+  const auto offset = [&](int s, std::size_t r) {
+    return offsets[static_cast<std::size_t>(s - first_level)][r];
+  };
+  const auto remap_views = [&](PrefixState& state, std::size_t r) {
+    for (ViewId& id : state.views) {
+      id = shards_[r].remap[static_cast<std::size_t>(id)];
+    }
   };
 
   if (options_.keep_levels) {
-    std::vector<std::vector<int>> offsets;
-    offsets.reserve(static_cast<std::size_t>(reached) + 1);
-    for (int s = 0; s <= reached; ++s) offsets.push_back(offsets_of(s));
+    std::vector<std::vector<std::vector<PrefixState>>> levels(num_roots);
+    std::vector<std::vector<std::vector<std::pair<int, int>>>> parents(
+        num_roots);
+    std::vector<std::vector<std::vector<std::vector<int>>>> children(
+        num_roots);
+    for (std::size_t r = 0; r < num_roots; ++r) {
+      levels[r] = shards_[r].engine->take_levels();
+      parents[r] = shards_[r].engine->take_first_parent();
+      children[r] = shards_[r].engine->take_children();
+    }
+    const auto level_count = static_cast<std::size_t>(reached) + 1;
+    analysis.levels.resize(level_count);
+    analysis.first_parent.resize(level_count);
+    analysis.children.resize(level_count - 1);
     for (int s = 0; s <= reached; ++s) {
-      analysis.levels.push_back(merge_level(s));
-      std::vector<std::pair<int, int>> parents;
-      for (std::size_t r = 0; r < num_roots; ++r) {
-        for (const auto& [parent, letter] :
-             shards_[r].engine->first_parent()[static_cast<std::size_t>(s)]) {
-          parents.emplace_back(
-              parent < 0 ? -1 : parent + offsets[static_cast<std::size_t>(
-                                              s - 1)][r],
-              letter);
+      const auto u = static_cast<std::size_t>(s);
+      analysis.levels[u].resize(offset(s, num_roots));
+      analysis.first_parent[u].resize(offset(s, num_roots));
+      if (s < reached) analysis.children[u].resize(offset(s, num_roots));
+    }
+    pool_.parallel_for(ranges.size(), [&](std::size_t i) {
+      const Range& range = ranges[i];
+      const auto s = static_cast<std::size_t>(range.level);
+      const std::size_t r = range.root;
+      const std::size_t base = offset(range.level, r);
+      for (std::size_t k = range.begin; k < range.end; ++k) {
+        PrefixState& state = analysis.levels[s][base + k];
+        state = std::move(levels[r][s][k]);
+        remap_views(state, r);
+        const auto [parent, letter] = parents[r][s][k];
+        analysis.first_parent[s][base + k] = {
+            parent < 0 ? -1
+                       : parent + static_cast<int>(offset(range.level - 1, r)),
+            letter};
+        if (range.level < reached) {
+          std::vector<int>& kids = analysis.children[s][base + k];
+          kids = std::move(children[r][s][k]);
+          const auto shift = static_cast<int>(offset(range.level + 1, r));
+          for (int& child : kids) child += shift;
         }
       }
-      analysis.first_parent.push_back(std::move(parents));
-    }
-    for (int s = 0; s < reached; ++s) {
-      std::vector<std::vector<int>> kids;
-      for (std::size_t r = 0; r < num_roots; ++r) {
-        for (const std::vector<int>& local :
-             shards_[r].engine->children()[static_cast<std::size_t>(s)]) {
-          std::vector<int> shifted;
-          shifted.reserve(local.size());
-          for (const int child : local) {
-            shifted.push_back(
-                child + offsets[static_cast<std::size_t>(s + 1)][r]);
-          }
-          kids.push_back(std::move(shifted));
-        }
-      }
-      analysis.children.push_back(std::move(kids));
-    }
+    });
   } else {
-    analysis.levels.push_back(merge_level(reached));
+    std::vector<PrefixState> merged(offset(reached, num_roots));
+    pool_.parallel_for(ranges.size(), [&](std::size_t i) {
+      const Range& range = ranges[i];
+      const std::vector<PrefixState>& local =
+          shards_[range.root].engine->frontier();
+      const std::size_t base = offset(reached, range.root);
+      for (std::size_t k = range.begin; k < range.end; ++k) {
+        merged[base + k] = local[k];
+        remap_views(merged[base + k], range.root);
+      }
+    });
+    analysis.levels.push_back(std::move(merged));
+  }
+  if (trace != nullptr) {
+    trace->complete(
+        "assemble", "assemble", span_start, trace->now_us() - span_start,
+        {telemetry::TraceArg::num("depth", static_cast<std::uint64_t>(depth)),
+         telemetry::TraceArg::num("leaves", analysis.leaves().size()),
+         telemetry::TraceArg::num("views", interner_->size() - views_before)});
   }
 
-  compute_components(options_, analysis);
+  compute_components(options_, analysis,
+                     [this](std::size_t count,
+                            const std::function<void(std::size_t)>& fn) {
+                       pool_.parallel_for(count, fn);
+                     });
   return analysis;
 }
 
 }  // namespace
+
+void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
+                  int depth, ThreadPool& pool) {
+  const auto translate = [&](const AbsorbSource& source,
+                             const ViewInterner::Node& node,
+                             std::vector<ViewId>& senders) {
+    senders.clear();
+    for (const ViewId sender : node.senders) {
+      senders.push_back((*source.remap)[static_cast<std::size_t>(sender)]);
+    }
+  };
+  // Phase one, per source on the pool: translate each new view of this
+  // depth and look it up read-only. found[r][k] is the shared id of
+  // source r's k-th new view, -1 if `into` does not hold it yet.
+  std::vector<std::vector<ViewId>> found(sources.size());
+  pool.parallel_for(sources.size(), [&](std::size_t r) {
+    const ViewInterner& from = *sources[r].interner;
+    std::vector<ViewId>& remap = *sources[r].remap;
+    assert(remap.size() == from.size() ||
+           from.node(static_cast<ViewId>(remap.size())).depth >= depth);
+    remap.reserve(from.size());
+    std::vector<ViewId> senders;
+    for (auto id = static_cast<ViewId>(remap.size());
+         static_cast<std::size_t>(id) < from.size() &&
+         from.node(id).depth == depth;
+         ++id) {
+      const ViewInterner::Node& node = from.node(id);
+      if (depth == 0) {
+        found[r].push_back(into.find_base(node.process, node.input));
+      } else {
+        translate(sources[r], node, senders);
+        found[r].push_back(into.find_step(node.process, node.mask, senders));
+      }
+    }
+  });
+  // Phase two, serial: intern the misses in (source, private id) order.
+  // A key missed by several sources is inserted by the first and found
+  // by the rest, exactly as absorb_from source by source would.
+  std::vector<ViewId> senders;
+  for (std::size_t r = 0; r < sources.size(); ++r) {
+    const ViewInterner& from = *sources[r].interner;
+    std::vector<ViewId>& remap = *sources[r].remap;
+    for (ViewId shared : found[r]) {
+      if (shared < 0) {
+        const ViewInterner::Node& node =
+            from.node(static_cast<ViewId>(remap.size()));
+        if (depth == 0) {
+          shared = into.base(node.process, node.input);
+        } else {
+          translate(sources[r], node, senders);
+          shared = into.step(node.process, node.mask, senders);
+        }
+      }
+      remap.push_back(shared);
+    }
+  }
+}
 
 void set_default_chunk_states(std::size_t chunk_states) {
   g_default_chunk_states.store(chunk_states, std::memory_order_relaxed);

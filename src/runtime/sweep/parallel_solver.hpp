@@ -22,21 +22,33 @@
 // output (the tests/golden/ artifacts are diffed with chunking forced to
 // its finest setting by ctest). After the last level, shard results are
 // merged in root order into one DepthAnalysis, so every field is
-// bit-identical to the serial analyze_depth() output. The only internal
-// difference is the private numbering of interned view ids, which the
-// deterministic absorb() merge keeps consistent; no observable field
-// depends on id values, only on id equality.
+// bit-identical to the serial analyze_depth() output -- down to the
+// shared interner's ids, because the shards' private views are absorbed
+// one view depth at a time in (root, private id) order, the order a
+// serial scan interns them.
+//
+// Assembly is parallel too, and the contract above is unchanged by it.
+// absorb_depth translates and looks up every shard's new views on the
+// pool, leaving only the interning of the misses, in (root, private id)
+// order, on one lane. The merged level is sized from the per-root
+// offsets, and each root fills its own range [offset_r, offset_{r+1}),
+// remapping views as it goes (keep_levels passes, which are one-shot,
+// move their history out of the engines instead of copying it). Component
+// labelling (core/epsilon_approx.hpp) runs its unions, finds, and
+// per-component summaries by leaf ranges on the same pool. Every one of
+// these steps writes index-addressed slots or order-free reductions, so
+// no id, leaf order, or label depends on the thread count.
 //
 // Persistence across depths: the root shards (engines and private
 // interners) live for a whole deepening job, not for one depth. The
 // depth-t prefix tree contains the depth-(t-1) tree as its first t-1
 // levels, so parallel_check_solvability and parallel_depth_series keep
 // one shard set, expand exactly one new level per depth, and absorb only
-// that level's new views into the shared interner (absorb_from extends
+// that level's new views into the shared interner (absorb_depth extends
 // each shard's remap). The determinism contract above is unchanged: the
 // levels, links, and shared-interner ids each depth assembles are the
-// ones a fresh pass builds, because absorbing a shard's ids in steps
-// assigns the ids one absorb() of the whole shard would. Only the work
+// ones a fresh pass builds, because both absorb the views one depth at
+// a time in the same (root, private id) order. Only the work
 // counters of telemetry/metrics.hpp drop, as levels are no longer
 // re-expanded. The keep_levels certify pass still expands from scratch,
 // after the persistent shards are released.
@@ -81,6 +93,27 @@ struct ShardingOptions {
 inline constexpr std::size_t kDefaultChunkStates = 4096;
 void set_default_chunk_states(std::size_t chunk_states);
 std::size_t default_chunk_states();
+
+/// One private interner to absorb into a shared one, with the remap
+/// that ViewInterner::absorb_from extends (remap[id] = shared id).
+struct AbsorbSource {
+  const ViewInterner* interner = nullptr;
+  std::vector<ViewId>* remap = nullptr;
+};
+
+/// ViewInterner::absorb_from for the views of depth `depth` of every
+/// source, in source order; each source's views of smaller depths must
+/// be absorbed already, and its views of depth `depth` must come next in
+/// id order (true of every frontier engine's interner, which interns a
+/// level after the one before). Phase one runs per source on the pool:
+/// it translates each new view's senders through the remap and looks the
+/// key up read-only in `into`. Phase two is serial: it interns the
+/// misses in (source, private id) order, which deduplicates them across
+/// sources (GBBS's ordered remove-duplicates: a key's first occurrence
+/// wins). The ids are exactly those absorb_from assigns applied source by
+/// source to the same views.
+void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
+                  int depth, ThreadPool& pool);
 
 /// Parallel analyze_depth(): one frontier engine per input vector,
 /// expanded chunk by chunk on the pool -- a one-shot use of the shard

@@ -62,6 +62,12 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
+  if (count == 1) {
+    // The caller would claim the only index itself; skip the queue and
+    // the wake-up of idle workers.
+    fn(0);
+    return;
+  }
   Batch batch;
   batch.fn = &fn;
   batch.count = count;

@@ -565,8 +565,8 @@ void Server::publish(const ServeEvent& event) {
 }
 
 void Server::executor_main() {
-  // One warm Session for the daemon's lifetime: the pool and interner
-  // arena amortize across submissions (the whole point of serving).
+  // One warm Session for the daemon's lifetime: the pool amortizes
+  // across submissions (the whole point of serving).
   // Telemetry collection is always on -- it feeds the subscriber event
   // stream and never changes the serialized records (telemetry_in_records
   // stays false, so artifacts match `topocon run` byte for byte).
@@ -607,8 +607,9 @@ void Server::executor_main() {
       const std::vector<sweep::JobRecord>& records =
           session.history().back().second;
       artifact = render_artifact(plan.name, records);
-      // History growth is unbounded across a daemon's life; the arena
-      // (which keeps certificates replayable) is the only retained state.
+      // History growth is unbounded across a daemon's life, so the
+      // Session keeps none; the outcomes die here, and their interners
+      // with them.
       session.clear_history();
     } catch (const std::exception& e) {
       error = e.what();

@@ -2,6 +2,7 @@
 // decision-table extraction query, and the Session-reuse determinism
 // contract -- two consecutive run() calls on one Session produce
 // byte-identical artifacts to two fresh Sessions, at 1 and 4 threads.
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -200,10 +201,10 @@ TEST(ApiSession, DecisionTableQueryRecordsTheCertificateShape) {
   EXPECT_TRUE(merged_record.round_entries.empty());
 }
 
-TEST(ApiSession, CertificatesOutliveTheRunViaTheInternerArena) {
+TEST(ApiSession, CertificatesOutliveTheRunViaSharedInterners) {
   Session session({.num_threads = 2, .record_global = false});
   // Take a decision table out of a run, drop the outcome vector, and use
-  // the table afterwards: the session arena keeps its interner alive.
+  // the table afterwards: the table shares ownership of its interner.
   std::optional<DecisionTable> table;
   {
     const JobOutcome outcome =
@@ -214,6 +215,18 @@ TEST(ApiSession, CertificatesOutliveTheRunViaTheInternerArena) {
   ASSERT_TRUE(table.has_value());
   EXPECT_GT(table->size(), 0u);
   EXPECT_EQ(table->worst_case_decision_round(), 1);
+
+  // The Session retains no interner: an outcome's interner dies with the
+  // last outcome, analysis, or table that refers to it.
+  std::weak_ptr<ViewInterner> interner;
+  {
+    const JobOutcome outcome =
+        session.run_one(api::solvability({"lossy_link", 2, 0b011}));
+    ASSERT_TRUE(outcome.result.analysis.has_value());
+    interner = outcome.result.analysis->interner;
+    EXPECT_FALSE(interner.expired());
+  }
+  EXPECT_TRUE(interner.expired());
 }
 
 TEST(ApiSession, InvalidQueryThrowsBeforeRunning) {

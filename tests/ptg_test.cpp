@@ -229,10 +229,10 @@ TEST(ViewInterner, ViewsAreCumulative) {
   }
 }
 
-// absorb_from() in steps, as the parallel solver calls it once per depth on
-// shards that keep growing, must assign exactly the ids that re-absorbing
-// each whole shard at every step assigns (the per-depth absorb() it
-// replaces), and one absorb() of a finished shard assigns them too.
+// absorb_from() in steps, once per depth on shards that keep growing (the
+// serial reference of sweep::absorb_depth), must assign exactly the ids
+// that re-absorbing each whole shard at every step assigns, and one
+// absorb() of a finished shard assigns them too.
 TEST(ViewInterner, IncrementalAbsorbMatchesWholeAbsorb) {
   std::mt19937_64 rng(11);
   const auto graphs = all_graphs(3);

@@ -2,8 +2,9 @@
 // (parsed back with the repo's own strict reader), events carry the
 // Trace Event Format fields chrome://tracing requires, string escaping
 // is safe, threads get stable small tids, a traced Session run
-// produces properly nested job > depth > level > chunk spans, and a
-// deepening check labels every level and chunk with its own depth.
+// produces properly nested job > depth > level > chunk spans, a
+// deepening check labels every level and chunk with its own depth, and
+// the assemble and components stages nest inside their depth.
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -245,6 +246,60 @@ TEST(TraceWriter, DeepeningLabelsChunksWithTheirLevelsDepth) {
       EXPECT_EQ(chunk.depth, level.depth) << "chunk at " << chunk.span.ts;
     }
     EXPECT_TRUE(enclosed) << "chunk at " << chunk.span.ts;
+  }
+}
+
+// Shard assembly and component labelling each emit one span per depth
+// pass (cheap or certify), nested in time inside that pass's depth span
+// and carrying its depth.
+TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
+  struct Labeled {
+    Span span;
+    std::uint64_t depth = 0;
+  };
+  std::ostringstream out;
+  {
+    TraceWriter writer(out);
+    telemetry::MetricsRegistry registry(&writer);
+    SolvabilityOptions options;
+    options.max_depth = 4;
+    options.metrics = &registry;
+    sweep::ThreadPool pool(2);
+    const SolvabilityResult result = sweep::parallel_check_solvability(
+        *make_lossy_link(0b011), options, pool);
+    ASSERT_EQ(result.verdict, SolvabilityVerdict::kSolvable);
+  }
+  const sweep::JsonValue doc = sweep::JsonReader::parse(out.str());
+  std::map<std::string, std::vector<Labeled>> by_category;
+  for (const sweep::JsonValue& event : doc.elements) {
+    if (event.at("ph").as_string() != "X") continue;
+    Labeled labeled;
+    labeled.span.name = event.at("name").as_string();
+    labeled.span.category = event.at("cat").as_string();
+    labeled.span.ts = event.at("ts").as_uint();
+    labeled.span.dur = event.at("dur").as_uint();
+    if (labeled.span.category != "depth" &&
+        labeled.span.category != "assemble" &&
+        labeled.span.category != "components") {
+      continue;
+    }
+    labeled.depth = event.at("args").at("depth").as_uint();
+    by_category[labeled.span.category].push_back(labeled);
+  }
+  const std::vector<Labeled>& depths = by_category["depth"];
+  ASSERT_FALSE(depths.empty());
+  for (const char* stage : {"assemble", "components"}) {
+    const std::vector<Labeled>& spans = by_category[stage];
+    EXPECT_EQ(spans.size(), depths.size()) << stage;
+    for (const Labeled& inner : spans) {
+      EXPECT_EQ(inner.span.name, stage);
+      bool nested = false;
+      for (const Labeled& depth : depths) {
+        nested |= depth.depth == inner.depth &&
+                  depth.span.contains(inner.span);
+      }
+      EXPECT_TRUE(nested) << stage << " at " << inner.span.ts;
+    }
   }
 }
 
