@@ -14,7 +14,8 @@ std::vector<Digraph> all_graphs(int n);
 
 /// All graphs obtained from the complete graph by removing at most
 /// max_omissions off-diagonal edges (Santoro-Widmayer style adversaries
-/// [21, 22]). max_omissions = n(n-1) yields all_graphs(n).
+/// [21, 22]). max_omissions = n(n-1) yields all_graphs(n). Requires
+/// n <= 6; the scan is over all 2^(n(n-1)) edge masks.
 std::vector<Digraph> graphs_with_max_omissions(int n, int max_omissions);
 
 /// All *rooted* graphs on [n] (exactly one root component); the per-round
