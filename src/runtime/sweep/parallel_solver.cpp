@@ -29,7 +29,7 @@ constexpr std::size_t kAssembleBlock = std::size_t{1} << 14;
 // interner must outlive the engine and stay address-stable, hence the
 // struct instead of engine-owned storage.
 struct RootShard {
-  std::optional<ViewInterner> interner;
+  ViewInterner interner;
   std::optional<FrontierEngine> engine;
   /// remap[id] = the shared interner's id of private view `id`, for
   /// every view absorbed so far (extended by absorb_depth).
@@ -96,8 +96,7 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
   if (spill_options.budget_bytes > 0) spill_.emplace(spill_options);
   // Level 0: one engine (and private interner) per root.
   pool_.parallel_for(shards_.size(), [&](std::size_t r) {
-    shards_[r].interner.emplace();
-    shards_[r].engine.emplace(adversary_, options_, *shards_[r].interner,
+    shards_[r].engine.emplace(adversary_, options_, shards_[r].interner,
                               static_cast<int>(r), static_cast<int>(r) + 1);
   });
 }
@@ -236,7 +235,7 @@ DepthAnalysis ShardSet::analyze(int depth) {
   std::vector<AbsorbSource> sources;
   sources.reserve(num_roots);
   for (RootShard& shard : shards_) {
-    sources.push_back(AbsorbSource{&*shard.interner, &shard.remap});
+    sources.push_back(AbsorbSource{&shard.interner, &shard.remap});
   }
   while (absorbed_ < reached) {
     ++absorbed_;
