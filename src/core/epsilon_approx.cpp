@@ -6,6 +6,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 
 #include "core/frontier.hpp"
@@ -39,9 +40,6 @@ struct StateKeyHash {
     return h;
   }
 };
-
-// Leaves per parallel_for index of the component passes.
-constexpr std::size_t kLeafBlock = std::size_t{1} << 15;
 
 }  // namespace
 
@@ -117,11 +115,6 @@ void compute_components(const AnalysisOptions& options,
   const std::uint64_t span_start = trace != nullptr ? trace->now_us() : 0;
   const int n = analysis.num_processes;
   const std::vector<PrefixState>& leaves = analysis.levels.back();
-  const std::size_t blocks = (leaves.size() + kLeafBlock - 1) / kLeafBlock;
-  const auto for_each_leaf = [&](std::size_t block, const auto& body) {
-    const std::size_t end = std::min(leaves.size(), (block + 1) * kLeafBlock);
-    for (std::size_t i = block * kLeafBlock; i < end; ++i) body(i);
-  };
   UnionFind uf(leaves.size());
   if (options.topology == AdjacencyTopology::kMin) {
     // Minimum topology: union leaves sharing any process's view id. The
@@ -131,58 +124,40 @@ void compute_components(const AnalysisOptions& options,
     std::vector<int> first_leaf(analysis.interner->size());
     for (int p = 0; p < n; ++p) {
       std::fill(first_leaf.begin(), first_leaf.end(), -1);
-      run_parallel(parallel_for, blocks, [&](std::size_t block) {
-        for_each_leaf(block, [&](std::size_t i) {
-          const ViewId id = leaves[i].views[static_cast<std::size_t>(p)];
-          std::atomic_ref<int> slot(first_leaf[static_cast<std::size_t>(id)]);
-          int claimed = slot.load(std::memory_order_relaxed);
-          if (claimed < 0 &&
-              slot.compare_exchange_strong(claimed, static_cast<int>(i),
-                                           std::memory_order_relaxed)) {
-            return;
-          }
-          uf.unite(claimed, static_cast<int>(i));
-        });
-      });
+      run_parallel_blocks(
+          parallel_for, leaves.size(),
+          [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              const ViewId id = leaves[i].views[static_cast<std::size_t>(p)];
+              std::atomic_ref<int> slot(
+                  first_leaf[static_cast<std::size_t>(id)]);
+              int claimed = slot.load(std::memory_order_relaxed);
+              if (claimed < 0 &&
+                  slot.compare_exchange_strong(claimed, static_cast<int>(i),
+                                               std::memory_order_relaxed)) {
+                continue;
+              }
+              uf.unite(claimed, static_cast<int>(i));
+            }
+          });
     }
   } else {
-    // P-view topology: union leaves with equal JOINT P-views, found
-    // through a flat open-addressed table of leaf indices hashed by the
-    // tuple of member views and compared leaf against leaf.
+    // P-view topology: union leaves with equal JOINT P-views (the exact
+    // tuple of member views is the map key).
     assert(options.pview_set != 0);
-    const NodeMask members = options.pview_set & full_mask(n);
-    const auto tuple_hash = [&](std::size_t i) {
-      std::uint64_t h = 0x9e3779b97f4a7c15ull;
-      for (NodeMask rest = members; rest != 0; rest &= rest - 1) {
-        h ^= static_cast<std::uint32_t>(
-            leaves[i].views[static_cast<std::size_t>(std::countr_zero(rest))]);
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 32;
-      }
-      return h;
-    };
-    const auto same_tuple = [&](std::size_t a, std::size_t b) {
-      for (NodeMask rest = members; rest != 0; rest &= rest - 1) {
-        const auto p = static_cast<std::size_t>(std::countr_zero(rest));
-        if (leaves[a].views[p] != leaves[b].views[p]) return false;
-      }
-      return true;
-    };
-    std::vector<int> slots(std::bit_ceil(std::max<std::size_t>(
-                               16, 2 * leaves.size())),
-                           -1);
-    const std::size_t mask = slots.size() - 1;
+    std::map<std::vector<ViewId>, int> first_leaf;
+    std::vector<ViewId> tuple;
     for (std::size_t i = 0; i < leaves.size(); ++i) {
-      std::size_t pos = tuple_hash(i) & mask;
-      while (slots[pos] >= 0 &&
-             !same_tuple(static_cast<std::size_t>(slots[pos]), i)) {
-        pos = (pos + 1) & mask;
+      tuple.clear();
+      NodeMask rest = options.pview_set & full_mask(n);
+      while (rest != 0) {
+        const int p = std::countr_zero(rest);
+        rest &= rest - 1;
+        tuple.push_back(leaves[i].views[static_cast<std::size_t>(p)]);
       }
-      if (slots[pos] < 0) {
-        slots[pos] = static_cast<int>(i);
-      } else {
-        uf.unite(slots[pos], static_cast<int>(i));
-      }
+      const auto [it, inserted] =
+          first_leaf.try_emplace(tuple, static_cast<int>(i));
+      if (!inserted) uf.unite(it->second, static_cast<int>(i));
     }
   }
   analysis.leaf_component = uf.component_ids(parallel_for);
@@ -200,13 +175,16 @@ void compute_components(const AnalysisOptions& options,
     std::uint32_t common_inputs = ~std::uint32_t{0};
     NodeMask common_broadcast = 0;
   };
+  const std::size_t blocks = num_parallel_blocks(leaves.size());
   std::vector<std::vector<Run>> runs(blocks);
   // run_inputs[block][k * n + p] = OR of 1 << input of p over run k.
   std::vector<std::vector<std::uint32_t>> run_inputs(blocks);
-  run_parallel(parallel_for, blocks, [&](std::size_t block) {
+  run_parallel_blocks(parallel_for, leaves.size(), [&](std::size_t block,
+                                                      std::size_t begin,
+                                                      std::size_t end) {
     std::vector<Run>& mine = runs[block];
     std::vector<std::uint32_t>& seen = run_inputs[block];
-    for_each_leaf(block, [&](std::size_t i) {
+    for (std::size_t i = begin; i < end; ++i) {
       const PrefixState& leaf = leaves[i];
       const int c = analysis.leaf_component[i];
       if (mine.empty() || mine.back().component != c) {
@@ -227,7 +205,7 @@ void compute_components(const AnalysisOptions& options,
       }
       run.common_inputs &= present;
       run.common_broadcast &= broadcast_complete(leaf.reach);
-    });
+    }
   });
   ComponentInfo empty;
   empty.common_broadcast = full_mask(n);

@@ -1,6 +1,5 @@
 #include "core/union_find.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <utility>
@@ -16,8 +15,6 @@ namespace {
 int load(int& cell) {
   return std::atomic_ref<int>(cell).load(std::memory_order_relaxed);
 }
-
-constexpr std::size_t kBlock = std::size_t{1} << 15;
 
 }  // namespace
 
@@ -62,14 +59,12 @@ int UnionFind::num_sets() const {
 
 std::vector<int> UnionFind::component_ids(const ParallelFor& parallel_for) {
   std::vector<int> ids(parent_.size());
-  run_parallel(parallel_for, (parent_.size() + kBlock - 1) / kBlock,
-               [&](std::size_t block) {
-                 const std::size_t end =
-                     std::min(parent_.size(), (block + 1) * kBlock);
-                 for (std::size_t x = block * kBlock; x < end; ++x) {
-                   ids[x] = find(static_cast<int>(x));
-                 }
-               });
+  run_parallel_blocks(parallel_for, parent_.size(),
+                      [&](std::size_t, std::size_t begin, std::size_t end) {
+                        for (std::size_t x = begin; x < end; ++x) {
+                          ids[x] = find(static_cast<int>(x));
+                        }
+                      });
   // A root is its set's smallest member, so it precedes (or is) every
   // member: one forward pass numbers roots in first-occurrence order and
   // resolves every other member through its already-numbered root.
