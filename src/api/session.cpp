@@ -30,7 +30,6 @@ std::vector<sweep::JobOutcome> Session::run(const std::string& name,
   hooks.collect_telemetry =
       options_.collect_telemetry || options_.telemetry_in_records;
   hooks.trace = options_.trace;
-  hooks.spill = options_.spill;
   const bool telemetry_active =
       hooks.collect_telemetry || hooks.trace != nullptr;
   if (observer != nullptr) {

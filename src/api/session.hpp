@@ -37,7 +37,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,11 +69,6 @@ struct SessionOptions {
   /// (telemetry/trace.hpp); must outlive the Session. Non-null implies
   /// collect_telemetry. Null = no tracing.
   telemetry::TraceWriter* trace = nullptr;
-  /// Out-of-core spill knobs for every run of this session (core/spill.*),
-  /// overriding the per-query options and the process default. nullopt =
-  /// inherit (query options, then --spill-* defaults). Execution detail:
-  /// results and artifacts are byte-identical at any setting.
-  std::optional<SpillOptions> spill = std::nullopt;
 };
 
 /// Streaming view of a running Session (see the header comment).

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -85,24 +84,6 @@ enum class FrontierMode {
   kDense,
 };
 
-/// Out-of-core spill knobs for the chunked frontier engine
-/// (core/spill.*). An execution detail exactly like FrontierMode: never
-/// serialized into query JSON, and artifacts are byte-identical at every
-/// budget -- spilling only bounds how many expanded-but-unmerged chunks
-/// stay resident at once.
-struct SpillOptions {
-  /// Soft budget in bytes for one level's resident chunk expansions.
-  /// 0 resolves to the process-wide default (set_default_spill in
-  /// core/spill.hpp), whose initial value disables spilling. A chunk
-  /// spills when its footprint times the level's chunk count exceeds
-  /// the budget -- a deterministic fair-share rule, so WHAT spills never
-  /// depends on thread scheduling.
-  std::uint64_t budget_bytes = 0;
-  /// Directory for the per-run spill subdirectory; empty = the process
-  /// default, then std::filesystem::temp_directory_path().
-  std::string dir;
-};
-
 struct AnalysisOptions {
   /// Prefix depth t; epsilon = 2^-t.
   int depth = 4;
@@ -124,9 +105,6 @@ struct AnalysisOptions {
   /// execution detail like `frontier`: never serialized, never changes a
   /// result byte; null disables all collection at zero hot-path cost.
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// Out-of-core spill knobs (chunked engine only; the serial scan
-  /// ignores them). Same execution-detail contract as `frontier`.
-  SpillOptions spill = {};
 };
 
 /// One admissible prefix (input vector, letter sequence) at some level

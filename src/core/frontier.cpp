@@ -8,7 +8,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "core/spill.hpp"
 #include "ptg/reach.hpp"
 #include "telemetry/trace.hpp"
 
@@ -125,21 +124,6 @@ const char* to_string(FrontierMode mode) {
       return "dense";
   }
   return "?";
-}
-
-std::uint64_t PendingFrontier::approx_bytes() const {
-  std::uint64_t bytes = states.size() * sizeof(PendingState);
-  if (!states.empty()) {
-    // Per-state heap payload (inputs + reach); uniform across states.
-    bytes += states.size() *
-             (states.front().inputs.size() * sizeof(Value) +
-              states.front().reach.size() * sizeof(NodeMask));
-  }
-  bytes += views.approx_bytes() + state_views.size() * sizeof(std::uint32_t);
-  for (const std::vector<int>& kids : children) {
-    bytes += sizeof(kids) + kids.size() * sizeof(int);
-  }
-  return bytes;
 }
 
 int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
@@ -536,9 +520,6 @@ PendingFrontier FrontierEngine::merge(
   if (chunks.size() == 1) {
     // The single chunk covered the whole frontier: its view dedup is
     // already global and its parent indexing is the frontier's.
-    if (chunks.front().spilled != nullptr) {
-      restore_spilled(chunks.front());
-    }
     return std::move(chunks.front());
   }
 
@@ -547,10 +528,6 @@ PendingFrontier FrontierEngine::merge(
   if (options_.keep_levels) level.children.resize(frontier_.size());
   std::vector<std::uint32_t> view_remap;
   for (PendingFrontier& chunk : chunks) {
-    // Spilled chunks come back one at a time, right before they fold
-    // in, so at most one restored chunk is resident besides the merged
-    // level -- that bound is the spill tier's whole point.
-    if (chunk.spilled != nullptr) restore_spilled(chunk);
     level.stats.add(chunk.stats);
     // Re-key the chunk's distinct views in the merged view table (one
     // long-key lookup per distinct view, not per state). Every chunk of
@@ -580,8 +557,7 @@ PendingFrontier FrontierEngine::merge(
         for (int& child : kids) child += offset;
       }
     }
-    // Fully folded in: release the chunk (and, for restored chunks, keep
-    // the resident set at merged + one chunk instead of merged + all).
+    // Fully folded in: free the chunk's tables before the next folds in.
     chunk = PendingFrontier{};
   }
   // The distinct view tally becomes the merged table's size.
@@ -592,7 +568,6 @@ PendingFrontier FrontierEngine::merge(
 
 void FrontierEngine::commit(PendingFrontier level) {
   assert(!level.overflow && "commit of an overflowed level");
-  if (level.spilled != nullptr) restore_spilled(level);
   // The codec of the level being committed: derived BEFORE any interner
   // mutation below, so it matches what expand() used.
   const KeyCodec codec = level_codec();

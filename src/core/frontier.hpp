@@ -48,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -85,10 +84,9 @@ const char* to_string(FrontierMode mode);
 /// senders...] is packed LSB-first into little-endian uint32 words;
 /// packing is injective, so dedup equality classes -- and with them
 /// every result byte -- are exactly those of the unpacked keys, while
-/// the WordSeqIndex pools (and the spill records built from them) shrink
-/// by the ratio of the summed bit widths to full words. Every chunk of
-/// one level uses the same widths, so merge() can re-intern chunk view
-/// keys byte for byte.
+/// the WordSeqIndex pools shrink by the ratio of the summed bit widths
+/// to full words. Every chunk of one level uses the same widths, so
+/// merge() can re-intern chunk view keys byte for byte.
 struct KeyCodec {
   std::uint32_t q_bits = 0;       ///< receiver process, < n
   std::uint32_t mask_bits = 0;    ///< round in-mask, n bits
@@ -153,18 +151,8 @@ class WordSeqIndex {
   std::size_t count_of(int index) const {
     return entries_[static_cast<std::size_t>(index)].count;
   }
-  /// Rough resident footprint in bytes (pool + entries + probe table),
-  /// an input of the spill policy (core/spill.*).
-  std::uint64_t approx_bytes() const {
-    return pool_.size() * sizeof(std::uint32_t) +
-           entries_.size() * sizeof(Entry) + slots_.size() * sizeof(int);
-  }
 
  private:
-  /// The spill tier serializes pool_ + entries_ directly and restores
-  /// tables without the probe table (read-only, like after append_new).
-  friend class FrontierSpill;
-
   struct Entry {
     std::size_t offset = 0;
     std::uint32_t count = 0;
@@ -197,8 +185,6 @@ struct PendingState {
 /// frontier). Views are stored as slice-local dedup indices into
 /// `views`, whose key words are [process, mask, senders...] with sender
 /// ids referring to the PARENT level's interned views.
-class SpillTicket;
-
 struct PendingFrontier {
   FrontierChunk chunk;
   std::vector<PendingState> states;
@@ -217,15 +203,6 @@ struct PendingFrontier {
   /// AnalysisOptions::metrics only at commit() so truncated levels never
   /// contribute (the determinism contract in telemetry/metrics.hpp).
   telemetry::PendingStats stats;
-  /// Non-null iff states/views/state_views/children currently live in a
-  /// spill file instead of memory (core/spill.*); chunk, overflow, and
-  /// stats stay resident so budget scans and stat sums never touch disk.
-  /// merge() restores spilled slices one at a time, in chunk order.
-  std::shared_ptr<SpillTicket> spilled;
-
-  /// Rough resident footprint in bytes of the spillable payload, the
-  /// quantity the spill policy compares against its budget.
-  std::uint64_t approx_bytes() const;
 };
 
 /// Shared early-abort accumulator for one level's concurrent chunk

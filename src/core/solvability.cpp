@@ -75,7 +75,6 @@ SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
     analysis_options.max_states = options.max_states;
     analysis_options.keep_levels = false;  // cheap pass first
     analysis_options.metrics = options.metrics;
-    analysis_options.spill = options.spill;
     const std::uint64_t span_start =
         trace != nullptr ? trace->now_us() : 0;
     DepthAnalysis cheap = analyze(analysis_options, interner);

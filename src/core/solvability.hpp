@@ -62,9 +62,6 @@ struct SolvabilityOptions {
   /// AnalysisOptions (telemetry/metrics.hpp). An execution detail: never
   /// serialized, never changes a verdict byte; null = no collection.
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// Out-of-core spill knobs, copied into every depth's AnalysisOptions
-  /// (core/spill.*). Same execution-detail contract as `metrics`.
-  SpillOptions spill = {};
 };
 
 struct DepthStats {

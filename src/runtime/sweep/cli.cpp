@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "core/frontier.hpp"
-#include "core/spill.hpp"
 #include "runtime/sweep/engine.hpp"
 
 namespace topocon::sweep {
@@ -74,24 +73,6 @@ SweepCliOptions consume_sweep_args(int* argc, char** argv) {
         std::exit(2);
       }
       set_default_frontier_mode(*parsed);
-      continue;
-    }
-    if (const auto budget = flag_value(arg, "sweep-spill-budget-mb")) {
-      try {
-        SpillOptions spill = default_spill();
-        spill.budget_bytes = spill_budget_mb_to_bytes(
-            parse_uint64_value("sweep-spill-budget-mb", *budget));
-        set_default_spill(spill);
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "sweep: %s\n", error.what());
-        std::exit(2);
-      }
-      continue;
-    }
-    if (const auto dir = flag_value(arg, "sweep-spill-dir")) {
-      SpillOptions spill = default_spill();
-      spill.dir = std::string(*dir);
-      set_default_spill(spill);
       continue;
     }
     if (const auto path = flag_value(arg, "sweep-json")) {

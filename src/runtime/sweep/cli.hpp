@@ -33,10 +33,9 @@ struct SweepCliOptions {
   std::string json_path;
 };
 
-/// Strips --sweep-threads=N, --sweep-frontier=MODE,
-/// --sweep-spill-budget-mb=N, --sweep-spill-dir=PATH, and
+/// Strips --sweep-threads=N, --sweep-frontier=MODE, and
 /// --sweep-json=PATH from argv (so they can precede google-benchmark's
-/// own argument parsing) and applies the thread/frontier/spill defaults
+/// own argument parsing) and applies the thread/frontier defaults
 /// immediately.
 SweepCliOptions consume_sweep_args(int* argc, char** argv);
 

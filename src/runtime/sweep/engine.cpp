@@ -272,13 +272,11 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       SolvabilityOptions solve = job.solve;
       if (job.kind == JobKind::kDecisionTable) solve.build_table = true;
       if (registry.has_value()) solve.metrics = &*registry;
-      if (hooks.spill.has_value()) solve.spill = *hooks.spill;
       outcome.result = parallel_check_solvability(*adversary, solve, pool,
                                                   on_depth, sharding);
     } else {
       AnalysisOptions series = job.analysis;
       if (registry.has_value()) series.metrics = &*registry;
-      if (hooks.spill.has_value()) series.spill = *hooks.spill;
       outcome.series = parallel_depth_series(*adversary, series, pool,
                                              on_depth, sharding);
     }

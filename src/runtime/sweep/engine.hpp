@@ -128,11 +128,6 @@ struct SweepHooks {
   /// Collect telemetry into JobOutcome::telemetry even without an
   /// on_job_telemetry consumer (e.g. for the JSON "telemetry" section).
   bool collect_telemetry = false;
-  /// Out-of-core spill knobs injected into every job's options (like
-  /// `metrics`), overriding whatever the job carries. nullopt = leave
-  /// the job's own spill options (and thus the process default) alone.
-  /// An execution detail: artifacts are byte-identical either way.
-  std::optional<SpillOptions> spill = std::nullopt;
   /// Chrome-trace span writer shared by every job of the sweep
   /// (telemetry/trace.hpp); must outlive the run. Null = no tracing.
   telemetry::TraceWriter* trace = nullptr;

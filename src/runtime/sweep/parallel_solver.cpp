@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/spill.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -46,7 +45,6 @@ class ShardSet {
   ShardSet(const MessageAdversary& adversary, const AnalysisOptions& options,
            ThreadPool& pool, std::shared_ptr<ViewInterner> interner,
            const ShardingOptions& sharding);
-  ~ShardSet();
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
 
@@ -65,10 +63,6 @@ class ShardSet {
   const std::shared_ptr<ViewInterner> interner_;
   const std::size_t chunk_states_;
   const ChunkProgressFn on_chunk_;
-  // Out-of-core tier (core/spill.*): expansions exceeding their fair
-  // share of the budget go to temp files between expand and merge. Like
-  // the chunk size, never observable in any result byte.
-  std::optional<FrontierSpill> spill_;
   std::vector<RootShard> shards_;
   int level_ = 0;
   /// Depth of the deepest views absorbed into interner_ (-1 = none).
@@ -92,24 +86,11 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
       shards_(all_input_vectors(adversary.num_processes(),
                                 options.num_values)
                   .size()) {
-  const SpillOptions spill_options = resolve_spill(options.spill);
-  if (spill_options.budget_bytes > 0) spill_.emplace(spill_options);
   // Level 0: one engine (and private interner) per root.
   pool_.parallel_for(shards_.size(), [&](std::size_t r) {
     shards_[r].engine.emplace(adversary_, options_, shards_[r].interner,
                               static_cast<int>(r), static_cast<int>(r) + 1);
   });
-}
-
-ShardSet::~ShardSet() {
-  if (options_.metrics == nullptr || !spill_) return;
-  const FrontierSpill::Stats totals = spill_->stats();
-  telemetry::SpillStats flushed;
-  flushed.chunks_spilled = totals.chunks_spilled;
-  flushed.bytes_written = totals.bytes_written;
-  flushed.bytes_replayed = totals.bytes_replayed;
-  flushed.replay_passes = totals.replay_passes;
-  options_.metrics->add_spill(flushed);
 }
 
 // Level-synchronous: expand all (root, chunk) work items of the level on
@@ -153,7 +134,6 @@ void ShardSet::advance(int depth) {
   pool_.parallel_for(items.size(), [&](std::size_t i) {
     expansions[i] =
         shards_[items[i].root].engine->expand(items[i].chunk, &budget, depth);
-    if (spill_) spill_->maybe_spill(expansions[i], items.size());
     if (on_chunk_) {
       const std::lock_guard<std::mutex> lock(progress_mutex_);
       ++chunks_done;
@@ -168,7 +148,6 @@ void ShardSet::advance(int depth) {
   if (tripped) {
     if (metrics != nullptr) metrics->add_budget_abort();
     truncated_ = true;
-    if (spill_) spill_->discard_staged();
     return;
   }
 
@@ -189,7 +168,6 @@ void ShardSet::advance(int depth) {
   pool_.parallel_for(num_roots, [&](std::size_t r) {
     shards_[r].engine->commit(std::move(pending[r]));
   });
-  if (spill_) spill_->commit_level();
   level_ = s;
   if (metrics != nullptr) {
     // frontier_states is the size of the level just expanded (s - 1),

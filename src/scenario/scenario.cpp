@@ -61,14 +61,11 @@ std::vector<Query> build_omission_n4(const GridOverrides& overrides) {
 }
 
 std::vector<Query> build_omission_n4_deep(const GridOverrides& overrides) {
-  // The out-of-core leg: same grid as omission-n4 but with a state
-  // budget sized for the f = 3 depth-3 level (hundreds of millions of
-  // states, tens of GiB of frontier) and a 1 GiB in-RAM spill budget, so
-  // expanded-but-unmerged chunks stream through temp files instead of
-  // resident memory (core/spill.hpp). The artifact is byte-identical to
-  // an unconstrained in-RAM run -- spilling is an execution detail under
-  // the same determinism contract as chunking. --spill-budget-mb/
-  // --spill-dir override the budget per invocation.
+  // Same grid as omission-n4 but with a state budget sized for the
+  // f = 3 depth-3 level (hundreds of millions of states, tens of GiB of
+  // frontier). That level does not fit in RAM on most machines, and only
+  // a byte budget next to max_states could turn it into a clean
+  // RESOURCE-LIMIT; until then, restrict the run with --param-max=2.
   const int n = overrides.n.value_or(4);
   const FamilyParamRange range = family_param_range("omission", n);
   const auto [f_min, f_max] =
@@ -78,7 +75,6 @@ std::vector<Query> build_omission_n4_deep(const GridOverrides& overrides) {
   options.max_depth = 3;
   options.max_states = 384'000'000;
   options.build_table = false;
-  options.spill.budget_bytes = std::uint64_t{1} << 30;
   for (const FamilyPoint& point : family_grid("omission", n, f_min, f_max)) {
     queries.push_back(api::solvability(point, options));
   }
@@ -90,8 +86,7 @@ std::vector<Query> build_omission_n5(const GridOverrides& overrides) {
   // bound 2. f = 2 certifies at depth 2 (1.4M leaf classes); f = 3 --
   // solvable in principle (f <= n-2) -- documents the honest
   // RESOURCE-LIMIT verdict at this budget, the current edge of the
-  // frontier. A modest spill budget keeps the peak resident set flat
-  // when the f = 2/3 levels get heavy.
+  // frontier.
   const int n = overrides.n.value_or(5);
   const FamilyParamRange range = family_param_range("omission", n);
   const auto [f_min, f_max] =
@@ -101,7 +96,6 @@ std::vector<Query> build_omission_n5(const GridOverrides& overrides) {
   options.max_depth = 2;
   options.max_states = 8'000'000;
   options.build_table = false;
-  options.spill.budget_bytes = std::uint64_t{512} << 20;
   for (const FamilyPoint& point : family_grid("omission", n, f_min, f_max)) {
     queries.push_back(api::solvability(point, options));
   }
@@ -315,31 +309,27 @@ std::vector<Scenario> make_catalog() {
       /*supports_seed=*/false, build_omission_n4});
   scenarios.push_back(Scenario{
       "omission-n4-deep",
-      "Omission n=4 past the RAM wall: the out-of-core f=3 certificate "
+      "Omission n=4 at depth 3 with a 384M-state budget "
       "(default f=0..3)",
-      "The omission-n4 grid with the state budget raised to 384M and the\n"
-      "out-of-core frontier tier on (1 GiB in-RAM spill budget): the\n"
-      "f = 3 depth-3 level holds hundreds of millions of states, beyond\n"
-      "what an unconstrained in-RAM run can hold on most machines, so\n"
-      "expanded-but-unmerged chunks are streamed through temp files\n"
-      "(core/spill.hpp) and replayed in deterministic (root, chunk) order\n"
-      "at merge/commit. The artifact is byte-identical to an in-RAM run\n"
-      "at every thread count, chunk size, and spill budget. --n picks the\n"
-      "process count, --param-min/--param-max restrict the f interval;\n"
-      "--spill-budget-mb/--spill-dir override the spill knobs per run.",
+      "The omission-n4 grid with the state budget raised to 384M. The\n"
+      "f = 3 depth-3 level holds hundreds of millions of states, tens of\n"
+      "GiB of frontier: more than RAM on most machines, and nothing yet\n"
+      "turns that into a RESOURCE-LIMIT verdict before memory runs out.\n"
+      "Restrict the run with --param-max=2 unless the machine has the\n"
+      "memory. --n picks the process count, --param-min/--param-max\n"
+      "restrict the f interval (valid: 0..n(n-1)).",
       /*supports_n=*/true, /*supports_param_range=*/true,
       /*supports_seed=*/false, build_omission_n4_deep});
   scenarios.push_back(Scenario{
       "omission-n5",
       "Omission frontier at n=5: 32 roots, depth 2 (default f=0..3)",
       "The first n = 5 grid: solvability over the per-round omission\n"
-      "budget f at depth bound 2 with an 8M-state budget and a 512 MiB\n"
-      "spill budget. f = 2 certifies at depth 2 (1.4M leaf classes);\n"
-      "f = 3 is solvable in principle (f <= n-2 [Santoro-Widmayer]) but\n"
-      "its depth-2 level outgrows the budget, documenting the honest\n"
-      "RESOURCE-LIMIT verdict at the current frontier edge. --n picks\n"
-      "the process count, --param-min/--param-max restrict the f\n"
-      "interval (valid: 0..n(n-1)).",
+      "budget f at depth bound 2 with an 8M-state budget. f = 2 certifies\n"
+      "at depth 2 (1.4M leaf classes); f = 3 is solvable in principle\n"
+      "(f <= n-2 [Santoro-Widmayer]) but its depth-2 level outgrows the\n"
+      "budget, documenting the honest RESOURCE-LIMIT verdict at the\n"
+      "current frontier edge. --n picks the process count,\n"
+      "--param-min/--param-max restrict the f interval (valid: 0..n(n-1)).",
       /*supports_n=*/true, /*supports_param_range=*/true,
       /*supports_seed=*/false, build_omission_n5});
   scenarios.push_back(Scenario{

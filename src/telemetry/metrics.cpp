@@ -31,23 +31,6 @@ void MetricsRegistry::add_budget_abort() {
   budget_early_aborts_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SpillStats::add(const SpillStats& other) {
-  chunks_spilled += other.chunks_spilled;
-  bytes_written += other.bytes_written;
-  bytes_replayed += other.bytes_replayed;
-  replay_passes += other.replay_passes;
-}
-
-void MetricsRegistry::add_spill(const SpillStats& stats) {
-  spill_chunks_.fetch_add(stats.chunks_spilled, std::memory_order_relaxed);
-  spill_bytes_written_.fetch_add(stats.bytes_written,
-                                 std::memory_order_relaxed);
-  spill_bytes_replayed_.fetch_add(stats.bytes_replayed,
-                                  std::memory_order_relaxed);
-  spill_replay_passes_.fetch_add(stats.replay_passes,
-                                 std::memory_order_relaxed);
-}
-
 void MetricsRegistry::note_frontier(std::uint64_t states) {
   std::uint64_t seen = frontier_high_water_.load(std::memory_order_relaxed);
   while (seen < states &&
@@ -87,13 +70,6 @@ JobTelemetry MetricsRegistry::snapshot() const {
       frontier_high_water_.load(std::memory_order_relaxed);
   out.levels = levels_;
   out.wall_seconds = wall_seconds_;
-  out.spill.chunks_spilled = spill_chunks_.load(std::memory_order_relaxed);
-  out.spill.bytes_written =
-      spill_bytes_written_.load(std::memory_order_relaxed);
-  out.spill.bytes_replayed =
-      spill_bytes_replayed_.load(std::memory_order_relaxed);
-  out.spill.replay_passes =
-      spill_replay_passes_.load(std::memory_order_relaxed);
   return out;
 }
 

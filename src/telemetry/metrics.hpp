@@ -56,20 +56,6 @@ struct TelemetryCounters {
                          const TelemetryCounters&) = default;
 };
 
-/// Out-of-core spill totals (core/spill.*), commit-only like every other
-/// counter: discarded passes leave no trace. Deterministic for a fixed
-/// query + chunk size + frontier mode + spill budget, at any thread
-/// count. Never serialized into artifacts -- telemetry JSON is
-/// byte-identical spill-on vs off; --metrics shows these on stderr.
-struct SpillStats {
-  std::uint64_t chunks_spilled = 0;   ///< chunk payloads written to disk
-  std::uint64_t bytes_written = 0;    ///< spill-file bytes written
-  std::uint64_t bytes_replayed = 0;   ///< spill-file bytes streamed back
-  std::uint64_t replay_passes = 0;    ///< committed levels that replayed
-
-  void add(const SpillStats& other);
-};
-
 /// Wall time of one committed level. Non-deterministic (timings).
 struct LevelTiming {
   int depth = 0;              ///< the analysis depth this level belongs to
@@ -83,9 +69,6 @@ struct JobTelemetry {
   TelemetryCounters counters;
   std::vector<LevelTiming> levels;
   double wall_seconds = 0;
-  /// Non-serialized, like wall_seconds: spill totals never enter the
-  /// JSON "telemetry" section.
-  SpillStats spill;
 };
 
 /// Sink for one job's counters. Counter flushes are relaxed atomics and may
@@ -112,10 +95,6 @@ class MetricsRegistry {
   /// One truncated (never committed) level.
   void add_budget_abort();
 
-  /// Fold one shard set's committed spill totals in (flushed when the
-  /// parallel solver releases the set; a job may release several).
-  void add_spill(const SpillStats& stats);
-
   /// Raise the frontier high-water mark.
   void note_frontier(std::uint64_t states);
 
@@ -140,10 +119,6 @@ class MetricsRegistry {
   std::atomic<std::uint64_t> levels_committed_{0};
   std::atomic<std::uint64_t> budget_early_aborts_{0};
   std::atomic<std::uint64_t> frontier_high_water_{0};
-  std::atomic<std::uint64_t> spill_chunks_{0};
-  std::atomic<std::uint64_t> spill_bytes_written_{0};
-  std::atomic<std::uint64_t> spill_bytes_replayed_{0};
-  std::atomic<std::uint64_t> spill_replay_passes_{0};
   std::vector<LevelTiming> levels_;
   double wall_seconds_ = 0;
   TraceWriter* trace_;

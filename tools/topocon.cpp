@@ -92,7 +92,6 @@
 #include "api/api.hpp"
 #include "core/frontier.hpp"
 #include "core/solvability.hpp"
-#include "core/spill.hpp"
 #include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
 #include "runtime/sweep/cli.hpp"
@@ -146,21 +145,6 @@ int usage(std::ostream& out, int code) {
          "                            execution detail -- results are "
          "identical\n"
          "                            for every mode\n"
-         "  --spill-budget-mb=N       soft cap on resident expanded-but-"
-         "unmerged\n"
-         "                            frontier bytes; chunks beyond their "
-         "fair share\n"
-         "                            spill to temp files and stream back "
-         "in merge\n"
-         "                            order (0/unset = never spill; like "
-         "--threads an\n"
-         "                            execution detail -- artifacts are "
-         "byte-identical\n"
-         "                            at every budget)\n"
-         "  --spill-dir=PATH          directory for spill files (default: "
-         "the system\n"
-         "                            temp dir); always cleaned up on "
-         "exit\n"
          "  --json=PATH               checkpoint to PATH while running, "
          "then finalize\n"
          "                            it as a topocon-sweep-v1 document\n"
@@ -216,12 +200,6 @@ int usage(std::ostream& out, int code) {
          "checker\n"
          "                            leg (auto|dense|sparse, default "
          "auto)\n"
-         "  --spill-budget-mb=N       out-of-core frontier budget for "
-         "every checker\n"
-         "                            leg (see run flags); verdicts are "
-         "identical at\n"
-         "                            every budget\n"
-         "  --spill-dir=PATH          directory for spill files\n"
          "  --trace=PATH              write a Chrome-trace span file of "
          "every\n"
          "                            checker leg\n"
@@ -263,10 +241,6 @@ int usage(std::ostream& out, int code) {
          "(default 64)\n"
          "  --ring=N                  event-ring capacity per subscriber "
          "(default 1024)\n"
-         "  --spill-budget-mb=N       out-of-core frontier budget for "
-         "every sweep the\n"
-         "                            daemon runs (see run flags)\n"
-         "  --spill-dir=PATH          directory for spill files\n"
          "  --quiet                   no status lines on stderr\n"
          "\n"
          "client actions (all need --socket=PATH):\n"
@@ -289,8 +263,6 @@ struct RunFlags {
   int threads = 0;
   int chunk = 0;  // 0 = default_chunk_states()
   std::optional<FrontierMode> frontier;
-  std::optional<std::uint64_t> spill_budget_mb;  // 0 = disable explicitly
-  std::string spill_dir;  // empty = temp_directory_path()
   std::string json_path;
   Format format = Format::kTable;
   scenario::GridOverrides overrides;
@@ -322,15 +294,6 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
                     << *v << "'\n";
           return false;
         }
-      } else if (const auto v = sweep::flag_value(arg, "spill-budget-mb")) {
-        flags->spill_budget_mb =
-            sweep::parse_uint64_value("spill-budget-mb", *v);
-      } else if (const auto v = sweep::flag_value(arg, "spill-dir")) {
-        if (v->empty()) {
-          std::cerr << "topocon: --spill-dir needs a non-empty path\n";
-          return false;
-        }
-        flags->spill_dir = *v;
       } else if (const auto v = sweep::flag_value(arg, "json")) {
         if (v->empty()) {
           std::cerr << "topocon: --json needs a non-empty path\n";
@@ -379,20 +342,6 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
     }
   }
   return true;
-}
-
-/// Applies --spill-budget-mb/--spill-dir as the process-wide default
-/// (core/spill.hpp); the engine picks it up through resolve_spill. No-op
-/// when neither flag was given, leaving any --sweep-spill-* default.
-void apply_spill_flags(const std::optional<std::uint64_t>& budget_mb,
-                       const std::string& dir) {
-  if (!budget_mb.has_value() && dir.empty()) return;
-  SpillOptions spill = default_spill();
-  if (budget_mb.has_value()) {
-    spill.budget_bytes = spill_budget_mb_to_bytes(*budget_mb);
-  }
-  if (!dir.empty()) spill.dir = dir;
-  set_default_spill(spill);
 }
 
 /// Status stream: stderr when stdout is a CSV artifact.
@@ -723,16 +672,14 @@ void print_metrics_table(
     const std::vector<api::Query>& queries,
     const std::vector<std::optional<telemetry::JobTelemetry>>& telemetry) {
   Table table({"job", "expanded", "committed", "interned", "chunks",
-               "levels", "high water", "aborts", "spilled", "spill MB",
-               "wall s"});
-  for (std::size_t column = 1; column <= 10; ++column) {
+               "levels", "high water", "aborts", "wall s"});
+  for (std::size_t column = 1; column <= 8; ++column) {
     table.align_right(column);
   }
   std::size_t rows = 0;
   for (std::size_t j = 0; j < telemetry.size(); ++j) {
     if (!telemetry[j].has_value()) continue;
     const telemetry::TelemetryCounters& c = telemetry[j]->counters;
-    const telemetry::SpillStats& spill = telemetry[j]->spill;
     table.add_row({api::label_of(queries[j]),
                    std::to_string(c.states_expanded),
                    std::to_string(c.states_committed),
@@ -741,10 +688,6 @@ void print_metrics_table(
                    std::to_string(c.levels_committed),
                    std::to_string(c.frontier_high_water),
                    std::to_string(c.budget_early_aborts),
-                   std::to_string(spill.chunks_spilled),
-                   fmt(static_cast<double>(spill.bytes_written) /
-                           (1024.0 * 1024.0),
-                       1),
                    fmt(telemetry[j]->wall_seconds, 3)});
     ++rows;
   }
@@ -842,7 +785,6 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
   if (flags.frontier.has_value()) {
     set_default_frontier_mode(*flags.frontier);
   }
-  apply_spill_flags(flags.spill_budget_mb, flags.spill_dir);
   std::ofstream trace_out;
   std::optional<telemetry::TraceWriter> trace;
   if (!open_trace(flags.trace_path, &trace_out, &trace)) return 1;
@@ -1033,7 +975,6 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
   if (flags.frontier.has_value()) {
     set_default_frontier_mode(*flags.frontier);
   }
-  apply_spill_flags(flags.spill_budget_mb, flags.spill_dir);
   // The document shape travels with the checkpoint (make_header), not the
   // command line: a --telemetry-json run resumes with telemetry sections
   // automatically, and stays byte-identical to an uninterrupted run.
@@ -1073,8 +1014,6 @@ struct FuzzFlags {
   scenario::FuzzSpec spec;
   int threads = 0;
   std::optional<FrontierMode> frontier;
-  std::optional<std::uint64_t> spill_budget_mb;
-  std::string spill_dir;
   std::string trace_path;
 };
 
@@ -1100,15 +1039,6 @@ bool parse_fuzz_flags(int argc, char** argv, FuzzFlags* flags) {
                     << *v << "'\n";
           return false;
         }
-      } else if (const auto v = sweep::flag_value(arg, "spill-budget-mb")) {
-        flags->spill_budget_mb =
-            sweep::parse_uint64_value("spill-budget-mb", *v);
-      } else if (const auto v = sweep::flag_value(arg, "spill-dir")) {
-        if (v->empty()) {
-          std::cerr << "topocon: --spill-dir needs a non-empty path\n";
-          return false;
-        }
-        flags->spill_dir = *v;
       } else if (const auto v = sweep::flag_value(arg, "trace")) {
         if (v->empty()) {
           std::cerr << "topocon: --trace needs a non-empty path\n";
@@ -1170,7 +1100,6 @@ int cmd_fuzz(const FuzzFlags& flags) {
   if (flags.frontier.has_value()) {
     set_default_frontier_mode(*flags.frontier);
   }
-  apply_spill_flags(flags.spill_budget_mb, flags.spill_dir);
   std::vector<FamilyPoint> points;
   try {
     points = scenario::fuzz_points(flags.spec);
@@ -1593,19 +1522,6 @@ int cmd_serve(int argc, char** argv) {
           return 2;
         }
         options.ring_capacity = static_cast<std::size_t>(ring);
-      } else if (const auto v = sweep::flag_value(arg, "spill-budget-mb")) {
-        SpillOptions spill = default_spill();
-        spill.budget_bytes = spill_budget_mb_to_bytes(
-            sweep::parse_uint64_value("spill-budget-mb", *v));
-        set_default_spill(spill);
-      } else if (const auto v = sweep::flag_value(arg, "spill-dir")) {
-        if (v->empty()) {
-          std::cerr << "topocon: --spill-dir needs a non-empty path\n";
-          return 2;
-        }
-        SpillOptions spill = default_spill();
-        spill.dir = std::string(*v);
-        set_default_spill(spill);
       } else if (arg == "--quiet") {
         quiet = true;
       } else {
