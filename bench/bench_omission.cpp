@@ -19,7 +19,7 @@
 #include "core/solvability.hpp"
 #include "runtime/flood_min.hpp"
 #include "runtime/simulator.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 #include "runtime/verify.hpp"
 
 namespace {
@@ -130,7 +130,7 @@ void BM_ParallelCheckOmission(benchmark::State& state) {
   sweep::ThreadPool pool(sweep::default_num_threads());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sweep::parallel_check_solvability(*ma, options, pool));
+        check_solvability(*ma, options, pool.as_parallel_for()));
   }
   set_peak_rss_counter(state);
 }
@@ -150,11 +150,11 @@ void BM_ChunkedCheckOmission(benchmark::State& state) {
   options.max_states = 6'000'000;
   options.build_table = false;
   sweep::ThreadPool pool(sweep::default_num_threads());
-  sweep::ShardingOptions sharding;
+  ShardingOptions sharding;
   sharding.chunk_states = chunk;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sweep::parallel_check_solvability(*ma, options, pool, {}, sharding));
+    benchmark::DoNotOptimize(check_solvability(
+        *ma, options, pool.as_parallel_for(), {}, sharding));
   }
   set_peak_rss_counter(state);
 }

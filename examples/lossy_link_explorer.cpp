@@ -25,7 +25,6 @@
 #include "core/obstruction.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/cli.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 
 int main(int argc, char** argv) {
   using namespace topocon;
@@ -55,8 +54,8 @@ int main(int argc, char** argv) {
   api::Session session;
   AnalysisOptions options;
   options.depth = depth;
-  const DepthAnalysis analysis =
-      sweep::parallel_analyze_depth(*ma, options, session.pool());
+  const DepthAnalysis analysis = analyze_depth(
+      *ma, options, nullptr, session.pool().as_parallel_for());
   std::cout << "Depth-" << depth << " epsilon-approximation: "
             << analysis.leaves().size() << " leaf classes, "
             << analysis.components.size() << " components, separated: "

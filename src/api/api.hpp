@@ -67,7 +67,7 @@
 // checkpoints carry the full job description and sweeps can be replayed
 // from their artifacts alone. Results are bit-identical at every thread
 // count (and every frontier chunk size -- the sub-root sharding knob of
-// runtime/sweep/parallel_solver.hpp) and independent of session
+// the level driver, core/shard_set.hpp) and independent of session
 // history. An api::Observer streams job/depth/chunk progress while a
 // run executes; observers can never change results.
 #pragma once

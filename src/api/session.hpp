@@ -115,11 +115,11 @@ class Session {
 
   int num_threads() const { return pool_.num_threads(); }
 
-  /// The session's pool, for interop with the engine primitives
-  /// (parallel_analyze_depth and friends) when a front end needs raw
-  /// DepthAnalysis objects beyond what queries record. Do not destroy or
-  /// detach it; do not call run() while a borrowed reference is mid-use
-  /// on another thread.
+  /// The session's pool, for interop with the core entry points
+  /// (analyze_depth and check_solvability on pool().as_parallel_for())
+  /// when a front end needs raw DepthAnalysis objects beyond what
+  /// queries record. Do not destroy or detach it; do not call run()
+  /// while a borrowed reference is mid-use on another thread.
   sweep::ThreadPool& pool() { return pool_; }
 
   /// Runs the queries on the session pool; outcomes are indexed like

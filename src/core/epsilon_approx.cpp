@@ -4,12 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
 
-#include "core/frontier.hpp"
+#include "core/shard_set.hpp"
 #include "core/union_find.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -280,60 +279,12 @@ void compute_components(const AnalysisOptions& options,
 
 DepthAnalysis analyze_depth(const MessageAdversary& adversary,
                             const AnalysisOptions& options,
-                            std::shared_ptr<ViewInterner> interner) {
-  const int n = adversary.num_processes();
-  DepthAnalysis analysis;
-  analysis.num_values = options.num_values;
-  analysis.num_processes = n;
-  analysis.interner =
-      interner ? std::move(interner) : std::make_shared<ViewInterner>();
-
-  // One engine over the whole root range, advanced serially (a single
-  // chunk per level -- see core/frontier.hpp for the chunked form the
-  // parallel solver drives).
-  const int num_roots =
-      static_cast<int>(all_input_vectors(n, options.num_values).size());
-  FrontierEngine engine(adversary, options, *analysis.interner, 0,
-                        num_roots);
-  telemetry::MetricsRegistry* metrics = options.metrics;
-  telemetry::TraceWriter* trace =
-      metrics != nullptr ? metrics->trace() : nullptr;
-  if (metrics != nullptr) metrics->note_frontier(engine.frontier().size());
-  for (int s = 1; s <= options.depth; ++s) {
-    const std::uint64_t span_start =
-        trace != nullptr ? trace->now_us() : 0;
-    const auto level_start = std::chrono::steady_clock::now();
-    if (!engine.advance()) {
-      analysis.truncated = true;
-      if (metrics != nullptr) metrics->add_budget_abort();
-      break;
-    }
-    if (metrics != nullptr) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - level_start;
-      metrics->add_level(options.depth, s, engine.frontier().size(),
-                         elapsed.count());
-      if (trace != nullptr) {
-        trace->complete(
-            "level", "level", span_start, trace->now_us() - span_start,
-            {telemetry::TraceArg::num("depth",
-                                      static_cast<std::uint64_t>(options.depth)),
-             telemetry::TraceArg::num("level", static_cast<std::uint64_t>(s)),
-             telemetry::TraceArg::num("states", engine.frontier().size())});
-      }
-    }
-  }
-  analysis.depth = engine.level();
-  if (options.keep_levels) {
-    analysis.levels = engine.take_levels();
-    analysis.first_parent = engine.take_first_parent();
-    analysis.children = engine.take_children();
-  } else {
-    analysis.levels.push_back(engine.take_frontier());
-  }
-
-  compute_components(options, analysis);
-  return analysis;
+                            std::shared_ptr<ViewInterner> interner,
+                            const ParallelFor& parallel_for,
+                            const ShardingOptions& sharding) {
+  return ShardSet(adversary, options, parallel_for, std::move(interner),
+                  sharding)
+      .analyze(options.depth);
 }
 
 DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,

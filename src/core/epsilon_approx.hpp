@@ -32,6 +32,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -105,6 +106,36 @@ struct AnalysisOptions {
   /// execution detail like `frontier`: never serialized, never changes a
   /// result byte; null disables all collection at zero hot-path cost.
   telemetry::MetricsRegistry* metrics = nullptr;
+};
+
+/// Streaming progress of a chunked expansion: fired once per completed
+/// chunk of the level currently being expanded. Purely observational --
+/// results never depend on it -- and the completion ORDER of chunks is
+/// lane-count-dependent; consumers may rely only on the counters.
+struct ChunkProgress {
+  /// Target depth of the analysis pass this level belongs to.
+  int depth = 0;
+  /// Level being expanded (1..depth).
+  int level = 0;
+  std::size_t chunks_done = 0;
+  std::size_t chunks_total = 0;
+  /// Total states of the frontier being expanded (all shards).
+  std::size_t frontier_states = 0;
+};
+using ChunkProgressFn = std::function<void(const ChunkProgress&)>;
+
+/// Sharding knobs of the level driver (core/shard_set.hpp). Like the
+/// thread count, these can never change any result.
+struct ShardingOptions {
+  /// Maximum frontier states per expansion chunk; heavy roots split into
+  /// ceil(frontier / chunk_states) chunks per level. 0 = the process
+  /// default (default_chunk_states() in core/frontier.hpp). 1 = finest
+  /// sharding (one chunk per state), used by the determinism tests.
+  std::size_t chunk_states = 0;
+  /// Streaming per-chunk progress. Invoked under an internal mutex,
+  /// possibly from other lanes, once per completed chunk; purely
+  /// observational.
+  ChunkProgressFn on_chunk;
 };
 
 /// One admissible prefix (input vector, letter sequence) at some level
@@ -193,20 +224,26 @@ struct DepthAnalysis {
   const std::vector<PrefixState>& leaves() const { return levels.back(); }
 };
 
-/// Runs the depth-t analysis. If `interner` is null a fresh one is created;
-/// passing one allows sharing ids across depths and with simulations.
+/// Runs the depth-t analysis: a one-shot pass of the level driver
+/// (core/shard_set.hpp), whose levels expand chunk by chunk on
+/// `parallel_for` (empty = the calling thread). If `interner` is null a
+/// fresh one is created; passing one allows sharing ids across depths
+/// and with simulations. The lanes and `sharding` never change a result.
 DepthAnalysis analyze_depth(const MessageAdversary& adversary,
                             const AnalysisOptions& options,
-                            std::shared_ptr<ViewInterner> interner = nullptr);
+                            std::shared_ptr<ViewInterner> interner = nullptr,
+                            const ParallelFor& parallel_for = {},
+                            const ShardingOptions& sharding = {});
 
-/// REFERENCE implementation of analyze_depth(): the identical analysis
-/// driven by the single-scan initial_frontier()/expand_frontier() calls
-/// below instead of the chunked FrontierEngine. Every field of the
-/// result -- levels, links, truncation, components, and
-/// the interner's id assignment order -- must be bit-identical to
-/// analyze_depth() at every chunk size and thread count; the fuzz
-/// differential harness (tests/fuzz_differential_test.cpp, `topocon
-/// fuzz`) asserts exactly that on randomly composed adversaries.
+/// REFERENCE implementation of analyze_depth(), and the only one that
+/// does not run the level driver: the identical analysis built by the
+/// single-scan initial_frontier()/expand_frontier() calls below,
+/// re-expanding every level from scratch. Every field of the result --
+/// levels, links, truncation, components, and the interner's id
+/// assignment order -- must be bit-identical to analyze_depth() at every
+/// chunk size and lane count; the fuzz differential harness
+/// (tests/fuzz_differential_test.cpp, `topocon fuzz`) asserts exactly
+/// that on randomly composed adversaries.
 DepthAnalysis analyze_depth_oracle(
     const MessageAdversary& adversary, const AnalysisOptions& options,
     std::shared_ptr<ViewInterner> interner = nullptr);
@@ -215,12 +252,12 @@ DepthAnalysis analyze_depth_oracle(
 //
 // The BFS over the admissible-prefix space, exposed level by level. The
 // production expansion path is the chunked FrontierEngine in
-// core/frontier.hpp -- analyze_depth() above drives one engine serially,
-// the parallel sweep engine (runtime/sweep/parallel_solver.*) drives one
-// engine per root with sub-root chunk sharding. Root sharding is exact
-// because a state's children depend only on that state: the prefix space
-// is the disjoint union of one subtree per input vector ("root"), and
-// each subtree can be expanded independently with a private interner.
+// core/frontier.hpp, which the level driver (core/shard_set.hpp) runs as
+// one engine per root with sub-root chunk sharding, on any number of
+// lanes. Root sharding is exact because a state's children depend only
+// on that state: the prefix space is the disjoint union of one subtree
+// per input vector ("root"), and each subtree can be expanded
+// independently with a private interner.
 // The calls below remain as the single-scan REFERENCE expansion: a direct
 // transcription of the serial BFS step, with its own map-based state
 // dedup as an independent check of the no-duplicates invariant, that the

@@ -92,6 +92,8 @@ class ScratchMap {
 std::atomic<int> g_default_frontier_mode{
     static_cast<int>(FrontierMode::kAuto)};
 
+std::atomic<std::size_t> g_default_chunk_states{0};
+
 }  // namespace
 
 void set_default_frontier_mode(FrontierMode mode) {
@@ -103,6 +105,16 @@ void set_default_frontier_mode(FrontierMode mode) {
 FrontierMode default_frontier_mode() {
   return static_cast<FrontierMode>(
       g_default_frontier_mode.load(std::memory_order_relaxed));
+}
+
+void set_default_chunk_states(std::size_t chunk_states) {
+  g_default_chunk_states.store(chunk_states, std::memory_order_relaxed);
+}
+
+std::size_t default_chunk_states() {
+  const std::size_t configured =
+      g_default_chunk_states.load(std::memory_order_relaxed);
+  return configured > 0 ? configured : kDefaultChunkStates;
 }
 
 std::optional<FrontierMode> frontier_mode_from_name(std::string_view name) {
@@ -643,20 +655,6 @@ void FrontierEngine::commit(PendingFrontier level) {
     options_.metrics->add_commit(frontier_.size(), interner_->size() -
                                                        views_before);
   }
-}
-
-bool FrontierEngine::advance(std::size_t chunk_states) {
-  std::vector<PendingFrontier> expansions;
-  for (const FrontierChunk& chunk : partition(chunk_states)) {
-    expansions.push_back(expand(chunk));
-  }
-  PendingFrontier level = merge(std::move(expansions));
-  if (level.overflow) {
-    truncated_ = true;
-    return false;
-  }
-  commit(std::move(level));
-  return true;
 }
 
 }  // namespace topocon

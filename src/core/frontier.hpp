@@ -36,18 +36,18 @@
 // MessageAdversary), so they differ in some receiver's in-mask, and the
 // children of one parent differ in that receiver's view.
 //
-// merge() is separated from commit() so a caller coordinating several
-// engines (runtime/sweep/parallel_solver.*) can apply the global
-// truncation budget to the sum of the pending level sizes BEFORE any
-// interner mutation happens: an overflowing level leaves every interner
-// exactly as if the level had never been attempted, matching the serial
-// checker's truncation semantics bit for bit.
+// merge() is separated from commit() so the level driver, which
+// coordinates one engine per root (core/shard_set.hpp), can apply the
+// global truncation budget to the sum of the pending level sizes BEFORE
+// any interner mutation happens: an overflowing level leaves every
+// interner exactly as if the level had never been attempted, matching
+// the reference checker's truncation semantics bit for bit. Only the
+// driver tracks truncation; an engine holds committed levels only.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -72,6 +72,13 @@ struct FrontierChunk {
 /// execution knob only -- results are identical for every mode.
 void set_default_frontier_mode(FrontierMode mode);
 FrontierMode default_frontier_mode();
+
+/// Process-wide default for ShardingOptions::chunk_states == 0: set from
+/// the CLI (`topocon --chunk=N`); 0 (the initial value) resolves to the
+/// built-in kDefaultChunkStates.
+inline constexpr std::size_t kDefaultChunkStates = 4096;
+void set_default_chunk_states(std::size_t chunk_states);
+std::size_t default_chunk_states();
 
 /// Parses "auto" / "dense" / "sparse" (the `--frontier=` spellings);
 /// nullopt for anything else.
@@ -231,22 +238,6 @@ class FrontierBudget {
   const std::size_t max_states_;
 };
 
-/// Streaming progress of a chunked expansion: fired once per completed
-/// chunk of the level currently being expanded. Purely observational --
-/// results never depend on it -- and the completion ORDER of chunks is
-/// thread-count-dependent; consumers may rely only on the counters.
-struct ChunkProgress {
-  /// Target depth of the analysis pass this level belongs to.
-  int depth = 0;
-  /// Level being expanded (1..depth).
-  int level = 0;
-  std::size_t chunks_done = 0;
-  std::size_t chunks_total = 0;
-  /// Total states of the frontier being expanded (all shards).
-  std::size_t frontier_states = 0;
-};
-using ChunkProgressFn = std::function<void(const ChunkProgress&)>;
-
 /// One shard of the chunked BFS (see the header comment).
 class FrontierEngine {
  public:
@@ -259,10 +250,6 @@ class FrontierEngine {
 
   /// Depth expanded so far (0 right after construction).
   int level() const { return level_; }
-  /// True once advance() found a level overflowing max_states; the
-  /// frontier then still holds the last complete level. Callers driving
-  /// expand/merge/commit themselves track truncation on their side.
-  bool truncated() const { return truncated_; }
   const std::vector<PrefixState>& frontier() const { return frontier_; }
 
   /// Deterministic partition of the current frontier into chunks of at
@@ -285,9 +272,9 @@ class FrontierEngine {
   ///
   /// `depth` is the target depth of the analysis pass this level belongs
   /// to, the `depth` arg of the chunk's trace span. An engine advanced
-  /// across several depths (runtime/sweep/parallel_solver.*) must pass
-  /// it; 0 stands for the depth of the options the engine was built
-  /// with, which is right only for an engine serving a single pass.
+  /// across several depths (core/shard_set.hpp) must pass it; 0 stands
+  /// for the depth of the options the engine was built with, which is
+  /// right only for an engine serving a single pass.
   PendingFrontier expand(const FrontierChunk& chunk,
                          FrontierBudget* budget = nullptr,
                          int depth = 0) const;
@@ -304,10 +291,6 @@ class FrontierEngine {
   /// level. Re-binds the interner to the calling thread (sequential
   /// hand-off); at most one commit per engine may run at a time.
   void commit(PendingFrontier level);
-
-  /// Serial convenience: partition + expand + merge + commit in one
-  /// call. Returns false (and marks truncated) on overflow.
-  bool advance(std::size_t chunk_states = 0);
 
   /// Sizes of every committed level, 0..level().
   const std::vector<std::size_t>& level_sizes() const { return level_sizes_; }
@@ -326,7 +309,7 @@ class FrontierEngine {
 
   // Move-out variants for building a DepthAnalysis from a finished
   // engine without copying multi-million-state histories; the engine is
-  // done afterwards (history empty, frontier moved from).
+  // done afterwards (history empty).
   std::vector<std::vector<PrefixState>> take_levels() {
     return std::move(levels_);
   }
@@ -336,7 +319,6 @@ class FrontierEngine {
   std::vector<std::vector<std::vector<int>>> take_children() {
     return std::move(children_);
   }
-  std::vector<PrefixState> take_frontier() { return std::move(frontier_); }
 
  private:
   /// The adversary's per-round expansion shape, fixed at construction:
@@ -369,7 +351,6 @@ class FrontierEngine {
   std::vector<std::uint32_t> frontier_distinct_;
   std::vector<PrefixState> frontier_;
   int level_ = 0;
-  bool truncated_ = false;
   std::vector<std::size_t> level_sizes_;
   std::vector<std::vector<PrefixState>> levels_;
   std::vector<std::vector<std::pair<int, int>>> first_parent_;

@@ -1,83 +1,34 @@
-#include "runtime/sweep/parallel_solver.hpp"
+#include "core/shard_set.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <optional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
-namespace topocon::sweep {
+namespace topocon {
 
 namespace {
 
-std::atomic<std::size_t> g_default_chunk_states{0};
-
-// States per parallel_for index of the range assembly.
+// States per run_parallel index of the range assembly.
 constexpr std::size_t kAssembleBlock = std::size_t{1} << 14;
 
-// One root's engine plus the private interner it expands into. The
-// interner must outlive the engine and stay address-stable, hence the
-// struct instead of engine-owned storage.
-struct RootShard {
-  ViewInterner interner;
-  std::optional<FrontierEngine> engine;
-  /// remap[id] = the shared interner's id of private view `id`, for
-  /// every view absorbed so far (extended by absorb_depth).
-  std::vector<ViewId> remap;
-};
-
-// The root shards of one job, advanced level by level. analyze(depth)
-// expands only the levels that no earlier request expanded and absorbs
-// only the views they added, so one set kept across the depths of
-// iterative deepening expands every level exactly once;
-// parallel_analyze_depth is a one-shot use.
-class ShardSet {
- public:
-  ShardSet(const MessageAdversary& adversary, const AnalysisOptions& options,
-           ThreadPool& pool, std::shared_ptr<ViewInterner> interner,
-           const ShardingOptions& sharding);
-  ShardSet(const ShardSet&) = delete;
-  ShardSet& operator=(const ShardSet&) = delete;
-
-  /// Advances to `depth` (requests must not decrease) and assembles the
-  /// depth-`depth` analysis, every field identical to a fresh pass.
-  DepthAnalysis analyze(int depth);
-
- private:
-  /// Expands, budgets, and commits level level_ + 1 of the pass that
-  /// targets `depth`; sets truncated_ instead if the level overflows.
-  void advance(int depth);
-
-  const MessageAdversary& adversary_;
-  const AnalysisOptions options_;
-  ThreadPool& pool_;
-  const std::shared_ptr<ViewInterner> interner_;
-  const std::size_t chunk_states_;
-  const ChunkProgressFn on_chunk_;
-  std::vector<RootShard> shards_;
-  int level_ = 0;
-  /// Depth of the deepest views absorbed into interner_ (-1 = none).
-  int absorbed_ = -1;
-  bool truncated_ = false;
-  std::mutex progress_mutex_;
-};
+}  // namespace
 
 ShardSet::ShardSet(const MessageAdversary& adversary,
-                   const AnalysisOptions& options, ThreadPool& pool,
+                   const AnalysisOptions& options,
+                   const ParallelFor& parallel_for,
                    std::shared_ptr<ViewInterner> interner,
                    const ShardingOptions& sharding)
     : adversary_(adversary),
       options_(options),
-      pool_(pool),
+      parallel_for_(parallel_for),
       interner_(interner ? std::move(interner)
                          : std::make_shared<ViewInterner>()),
       chunk_states_(sharding.chunk_states > 0 ? sharding.chunk_states
@@ -87,16 +38,16 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
                                 options.num_values)
                   .size()) {
   // Level 0: one engine (and private interner) per root.
-  pool_.parallel_for(shards_.size(), [&](std::size_t r) {
+  run_parallel(parallel_for_, shards_.size(), [&](std::size_t r) {
     shards_[r].engine.emplace(adversary_, options_, shards_[r].interner,
                               static_cast<int>(r), static_cast<int>(r) + 1);
   });
 }
 
 // Level-synchronous: expand all (root, chunk) work items of the level on
-// the pool, merge per root in chunk order, apply the global state
+// the lanes, merge per root in chunk order, apply the global state
 // budget, then commit.
-void ShardSet::advance(int depth) {
+bool ShardSet::advance(int depth) {
   const int s = level_ + 1;
   const std::size_t num_roots = shards_.size();
   telemetry::MetricsRegistry* metrics = options_.metrics;
@@ -131,7 +82,7 @@ void ShardSet::advance(int depth) {
   FrontierBudget budget(options_.max_states);
   std::vector<PendingFrontier> expansions(items.size());
   std::size_t chunks_done = 0;
-  pool_.parallel_for(items.size(), [&](std::size_t i) {
+  run_parallel(parallel_for_, items.size(), [&](std::size_t i) {
     expansions[i] =
         shards_[items[i].root].engine->expand(items[i].chunk, &budget, depth);
     if (on_chunk_) {
@@ -147,12 +98,11 @@ void ShardSet::advance(int depth) {
   }
   if (tripped) {
     if (metrics != nullptr) metrics->add_budget_abort();
-    truncated_ = true;
-    return;
+    return false;
   }
 
   std::vector<PendingFrontier> pending(num_roots);
-  pool_.parallel_for(num_roots, [&](std::size_t r) {
+  run_parallel(parallel_for_, num_roots, [&](std::size_t r) {
     std::vector<PendingFrontier> mine(
         std::make_move_iterator(expansions.begin() +
                                 static_cast<std::ptrdiff_t>(first_item[r])),
@@ -165,7 +115,7 @@ void ShardSet::advance(int depth) {
   for (const PendingFrontier& level : pending) {
     total += level.states.size();
   }
-  pool_.parallel_for(num_roots, [&](std::size_t r) {
+  run_parallel(parallel_for_, num_roots, [&](std::size_t r) {
     shards_[r].engine->commit(std::move(pending[r]));
   });
   level_ = s;
@@ -187,13 +137,15 @@ void ShardSet::advance(int depth) {
            telemetry::TraceArg::num("chunks", items.size())});
     }
   }
+  return true;
 }
 
 DepthAnalysis ShardSet::analyze(int depth) {
   assert(depth >= level_);
   // keep_levels sets are one-shot: assembly moves the history out.
   assert(!options_.keep_levels || !shards_[0].engine->levels().empty());
-  while (level_ < depth && !truncated_) advance(depth);
+  while (level_ < depth && advance(depth)) {
+  }
   const std::size_t num_roots = shards_.size();
   const int reached = level_;
   DepthAnalysis analysis;
@@ -217,13 +169,13 @@ DepthAnalysis ShardSet::analyze(int depth) {
   }
   while (absorbed_ < reached) {
     ++absorbed_;
-    absorb_depth(*interner_, sources, absorbed_, pool_);
+    absorb_depth(*interner_, sources, absorbed_, parallel_for_);
   }
 
   // ---- Range assembly: root r owns [offsets[s][r], offsets[s][r + 1])
   // of merged level s and fills it on its own lanes, remapping views
   // into the shared interner; ranges are cut at kAssembleBlock states so
-  // a heavy root spreads over the pool.
+  // a heavy root spreads over the lanes.
   const int first_level = options_.keep_levels ? 0 : reached;
   std::vector<std::vector<std::size_t>> offsets;
   struct Range {
@@ -276,7 +228,7 @@ DepthAnalysis ShardSet::analyze(int depth) {
       analysis.first_parent[u].resize(offset(s, num_roots));
       if (s < reached) analysis.children[u].resize(offset(s, num_roots));
     }
-    pool_.parallel_for(ranges.size(), [&](std::size_t i) {
+    run_parallel(parallel_for_, ranges.size(), [&](std::size_t i) {
       const Range& range = ranges[i];
       const auto s = static_cast<std::size_t>(range.level);
       const std::size_t r = range.root;
@@ -300,7 +252,7 @@ DepthAnalysis ShardSet::analyze(int depth) {
     });
   } else {
     std::vector<PrefixState> merged(offset(reached, num_roots));
-    pool_.parallel_for(ranges.size(), [&](std::size_t i) {
+    run_parallel(parallel_for_, ranges.size(), [&](std::size_t i) {
       const Range& range = ranges[i];
       const std::vector<PrefixState>& local =
           shards_[range.root].engine->frontier();
@@ -320,18 +272,12 @@ DepthAnalysis ShardSet::analyze(int depth) {
          telemetry::TraceArg::num("views", interner_->size() - views_before)});
   }
 
-  compute_components(options_, analysis,
-                     [this](std::size_t count,
-                            const std::function<void(std::size_t)>& fn) {
-                       pool_.parallel_for(count, fn);
-                     });
+  compute_components(options_, analysis, parallel_for_);
   return analysis;
 }
 
-}  // namespace
-
 void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
-                  int depth, ThreadPool& pool) {
+                  int depth, const ParallelFor& parallel_for) {
   const auto translate = [&](const AbsorbSource& source,
                              const ViewInterner::Node& node,
                              std::vector<ViewId>& senders) {
@@ -340,11 +286,11 @@ void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
       senders.push_back((*source.remap)[static_cast<std::size_t>(sender)]);
     }
   };
-  // Phase one, per source on the pool: translate each new view of this
+  // Phase one, per source on the lanes: translate each new view of this
   // depth and look it up read-only. found[r][k] is the shared id of
   // source r's k-th new view, -1 if `into` does not hold it yet.
   std::vector<std::vector<ViewId>> found(sources.size());
-  pool.parallel_for(sources.size(), [&](std::size_t r) {
+  run_parallel(parallel_for, sources.size(), [&](std::size_t r) {
     const ViewInterner& from = *sources[r].interner;
     std::vector<ViewId>& remap = *sources[r].remap;
     assert(remap.size() == from.size() ||
@@ -387,67 +333,4 @@ void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
   }
 }
 
-void set_default_chunk_states(std::size_t chunk_states) {
-  g_default_chunk_states.store(chunk_states, std::memory_order_relaxed);
-}
-
-std::size_t default_chunk_states() {
-  const std::size_t configured =
-      g_default_chunk_states.load(std::memory_order_relaxed);
-  return configured > 0 ? configured : kDefaultChunkStates;
-}
-
-DepthAnalysis parallel_analyze_depth(const MessageAdversary& adversary,
-                                     const AnalysisOptions& options,
-                                     ThreadPool& pool,
-                                     std::shared_ptr<ViewInterner> interner,
-                                     const ShardingOptions& sharding) {
-  return ShardSet(adversary, options, pool, std::move(interner), sharding)
-      .analyze(options.depth);
-}
-
-std::vector<DepthStats> parallel_depth_series(
-    const MessageAdversary& adversary, const AnalysisOptions& options,
-    ThreadPool& pool, const DepthProgressFn& on_depth,
-    const ShardingOptions& sharding) {
-  AnalysisOptions cheap = options;
-  cheap.keep_levels = false;
-  ShardSet shards(adversary, cheap, pool, nullptr, sharding);
-  std::vector<DepthStats> series;
-  for (int depth = 1; depth <= options.depth; ++depth) {
-    const DepthAnalysis analysis = shards.analyze(depth);
-    if (analysis.truncated) break;
-    series.push_back(depth_stats(analysis));
-    if (on_depth) on_depth(series.back());
-  }
-  return series;
-}
-
-SolvabilityResult parallel_check_solvability(
-    const MessageAdversary& adversary, const SolvabilityOptions& options,
-    ThreadPool& pool, const DepthProgressFn& on_depth,
-    const ShardingOptions& sharding) {
-  // Same iterative-deepening driver as the serial checker; only the
-  // per-depth analysis is swapped for the sharded one. The cheap passes
-  // (depths 1, 2, ... in order, see DepthAnalyzeFn) share one shard set,
-  // so each expands one new level. The certify pass re-expands from
-  // scratch after releasing it, so it peaks no higher than a lone pass.
-  std::optional<ShardSet> shards;
-  return check_solvability_with(
-      adversary, options,
-      [&](const AnalysisOptions& depth_options,
-          const std::shared_ptr<ViewInterner>& interner) {
-        if (depth_options.keep_levels) {
-          shards.reset();
-          return parallel_analyze_depth(adversary, depth_options, pool,
-                                        interner, sharding);
-        }
-        if (!shards) {
-          shards.emplace(adversary, depth_options, pool, interner, sharding);
-        }
-        return shards->analyze(depth_options.depth);
-      },
-      on_depth);
-}
-
-}  // namespace topocon::sweep
+}  // namespace topocon

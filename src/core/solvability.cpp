@@ -1,8 +1,11 @@
 #include "core/solvability.hpp"
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "core/shard_set.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -39,13 +42,27 @@ DepthStats depth_stats(const DepthAnalysis& analysis) {
 }
 
 SolvabilityResult check_solvability(const MessageAdversary& adversary,
-                                    const SolvabilityOptions& options) {
+                                    const SolvabilityOptions& options,
+                                    const ParallelFor& parallel_for,
+                                    const DepthProgressFn& on_depth,
+                                    const ShardingOptions& sharding) {
+  std::optional<ShardSet> shards;
   return check_solvability_with(
       adversary, options,
-      [&adversary](const AnalysisOptions& analysis_options,
-                   const std::shared_ptr<ViewInterner>& interner) {
-        return analyze_depth(adversary, analysis_options, interner);
-      });
+      [&](const AnalysisOptions& depth_options,
+          const std::shared_ptr<ViewInterner>& interner) {
+        if (depth_options.keep_levels) {
+          shards.reset();
+          return analyze_depth(adversary, depth_options, interner,
+                               parallel_for, sharding);
+        }
+        if (!shards) {
+          shards.emplace(adversary, depth_options, parallel_for, interner,
+                         sharding);
+        }
+        return shards->analyze(depth_options.depth);
+      },
+      on_depth);
 }
 
 SolvabilityResult check_solvability_oracle(const MessageAdversary& adversary,
@@ -56,6 +73,24 @@ SolvabilityResult check_solvability_oracle(const MessageAdversary& adversary,
                    const std::shared_ptr<ViewInterner>& interner) {
         return analyze_depth_oracle(adversary, analysis_options, interner);
       });
+}
+
+std::vector<DepthStats> depth_series(const MessageAdversary& adversary,
+                                     const AnalysisOptions& options,
+                                     const ParallelFor& parallel_for,
+                                     const DepthProgressFn& on_depth,
+                                     const ShardingOptions& sharding) {
+  AnalysisOptions cheap = options;
+  cheap.keep_levels = false;
+  ShardSet shards(adversary, cheap, parallel_for, nullptr, sharding);
+  std::vector<DepthStats> series;
+  for (int depth = 1; depth <= options.depth; ++depth) {
+    const DepthAnalysis analysis = shards.analyze(depth);
+    if (analysis.truncated) break;
+    series.push_back(depth_stats(analysis));
+    if (on_depth) on_depth(series.back());
+  }
+  return series;
 }
 
 SolvabilityResult check_solvability_with(const MessageAdversary& adversary,

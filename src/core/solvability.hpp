@@ -98,44 +98,66 @@ struct SolvabilityResult {
   std::optional<DecisionTable> table;
 };
 
+/// Streaming progress callback: invoked once per completed depth with the
+/// depth's aggregate statistics, in depth order, before the verdict is
+/// known. Purely observational -- the result is identical with or without
+/// it. Feeds api::Observer::on_depth.
+using DepthProgressFn = std::function<void(const DepthStats&)>;
+
+/// The iterative-deepening checker on the level driver
+/// (core/shard_set.hpp): the cheap passes of depths 1, 2, ... share one
+/// shard set, so each depth expands one new level; the certify pass
+/// releases it and re-expands from scratch, so it peaks no higher than a
+/// lone pass. Levels expand on `parallel_for` (empty = the calling
+/// thread). `on_depth` streams each completed depth's statistics on the
+/// calling thread, `sharding.on_chunk` each chunk's progress. Lanes,
+/// chunking, and callbacks never change the result.
 SolvabilityResult check_solvability(const MessageAdversary& adversary,
-                                    const SolvabilityOptions& options = {});
+                                    const SolvabilityOptions& options = {},
+                                    const ParallelFor& parallel_for = {},
+                                    const DepthProgressFn& on_depth = {},
+                                    const ShardingOptions& sharding = {});
 
 /// REFERENCE implementation of check_solvability(): the same iterative-
 /// deepening driver (check_solvability_with) over analyze_depth_oracle,
-/// the single-scan expansion, instead of the chunked FrontierEngine.
-/// Verdict, certified depth, per-depth statistics (including interned-
-/// view counts), and the final analysis must be identical to the serial
-/// checker and to parallel_check_solvability at every chunk size and
-/// thread count; the fuzz differential harness asserts exactly that.
+/// the single-scan expansion that re-expands every depth from scratch,
+/// instead of the level driver. Verdict, certified depth, per-depth
+/// statistics (including interned-view counts), and the final analysis
+/// must be identical to check_solvability at every chunk size and lane
+/// count; the fuzz differential harness asserts exactly that.
 SolvabilityResult check_solvability_oracle(
     const MessageAdversary& adversary, const SolvabilityOptions& options = {});
 
-/// The iterative-deepening driver behind check_solvability, parameterized
-/// over the per-depth analysis: `analyze` receives the depth's
-/// AnalysisOptions and the interner shared across all depths of this
-/// check, and returns the DepthAnalysis. The parallel sweep engine passes
-/// its sharded analysis here; check_solvability passes analyze_depth.
-/// Keeping one driver guarantees serial and parallel verdicts can only
-/// differ if the analyses differ.
+/// The iterative-deepening driver behind check_solvability and
+/// check_solvability_oracle, parameterized over the per-depth analysis:
+/// `analyze` receives the depth's AnalysisOptions and the interner shared
+/// across all depths of this check, and returns the DepthAnalysis.
+/// Keeping one driver guarantees production and reference verdicts can
+/// only differ if the analyses differ.
 ///
 /// Call order, which stateful analyses may rely on: one call per depth
 /// 1, 2, ... in increasing order with keep_levels = false, each with the
 /// same interner and otherwise identical options, stopping at the first
 /// truncated, certified, or max_depth analysis; then, only for a
 /// certified depth with build_table, at most one keep_levels = true call
-/// at that depth. The parallel solver keeps its root shards alive
-/// between the cheap calls and expands one new level per call.
+/// at that depth. check_solvability keeps its root shards alive between
+/// the cheap calls and expands one new level per call.
 using DepthAnalyzeFn = std::function<DepthAnalysis(
     const AnalysisOptions&, const std::shared_ptr<ViewInterner>&)>;
-/// Streaming progress callback: invoked once per completed depth with the
-/// depth's aggregate statistics, in depth order, before the verdict is
-/// known. Purely observational -- the result is identical with or without
-/// it. Feeds api::Observer::on_depth.
-using DepthProgressFn = std::function<void(const DepthStats&)>;
 SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
                                          const SolvabilityOptions& options,
                                          const DepthAnalyzeFn& analyze,
                                          const DepthProgressFn& on_depth = {});
+
+/// The depth series of a kDepthSeries job: the cheap (keep_levels =
+/// false) analyses of depths 1..options.depth on one persistent shard
+/// set, one DepthStats row per depth, stopping before the first truncated
+/// depth. Lanes, `on_depth`, and `sharding` behave as in
+/// check_solvability.
+std::vector<DepthStats> depth_series(const MessageAdversary& adversary,
+                                     const AnalysisOptions& options,
+                                     const ParallelFor& parallel_for = {},
+                                     const DepthProgressFn& on_depth = {},
+                                     const ShardingOptions& sharding = {});
 
 }  // namespace topocon

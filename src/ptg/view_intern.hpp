@@ -53,8 +53,8 @@ using ViewVector = std::vector<ViewId>;
 /// instance to the first mutating thread and abort on mutation from any
 /// other thread; sequential hand-off between threads is legitimate and is
 /// declared with attach_to_current_thread(). Concurrent expansion uses one
-/// interner per shard, merged afterwards with sweep::absorb_depth -- see
-/// runtime/sweep/. One instance is shared by an analysis and any
+/// interner per shard, merged afterwards with absorb_depth -- see
+/// core/shard_set.hpp. One instance is shared by an analysis and any
 /// simulations replaying its decision tables.
 class ViewInterner {
  public:
@@ -102,7 +102,7 @@ class ViewInterner {
   /// Read-only lookups: the id base() / step() would return if the view
   /// is interned already, -1 otherwise. They never mutate, so any number
   /// of threads may look up concurrently while no thread mutates (the
-  /// parallel absorb's first phase, runtime/sweep/parallel_solver.*).
+  /// parallel absorb's first phase, core/shard_set.*).
   ViewId find_base(ProcessId p, Value x) const;
   ViewId find_step(ProcessId q, NodeMask mask,
                    const std::vector<ViewId>& sender_ids) const;

@@ -33,6 +33,16 @@ int parse_int_value(std::string_view flag, std::string_view value) {
   return parsed;
 }
 
+int parse_threads_value(std::string_view flag, std::string_view value) {
+  const int threads = parse_int_value(flag, value);
+  if (threads < 0) {
+    throw std::invalid_argument("--" + std::string(flag) +
+                                " must be >= 0 (0 = every core), got '" +
+                                std::string(value) + "'");
+  }
+  return threads;
+}
+
 std::uint64_t parse_uint64_value(std::string_view flag,
                                  std::string_view value) {
   std::uint64_t parsed = 0;
@@ -56,7 +66,8 @@ SweepCliOptions consume_sweep_args(int* argc, char** argv) {
       // consumption; fail the process cleanly instead of letting the
       // invalid_argument escape to std::terminate.
       try {
-        set_default_num_threads(parse_int_value("sweep-threads", *threads));
+        set_default_num_threads(
+            parse_threads_value("sweep-threads", *threads));
       } catch (const std::invalid_argument& error) {
         std::fprintf(stderr, "sweep: %s\n", error.what());
         std::exit(2);

@@ -21,6 +21,11 @@ std::optional<std::string_view> flag_value(std::string_view arg,
 /// naming the flag on malformed or out-of-int-range input.
 int parse_int_value(std::string_view flag, std::string_view value);
 
+/// Parses a thread-count flag value like parse_int_value, and also
+/// throws std::invalid_argument for values below 0 (0 = every core; see
+/// resolve_threads).
+int parse_threads_value(std::string_view flag, std::string_view value);
+
 /// Parses a mandatory unsigned 64-bit flag value (the full seed space;
 /// parse_int_value would cap it at int). Throws std::invalid_argument
 /// naming the flag on malformed, negative, or out-of-range input.

@@ -6,7 +6,7 @@
 #include <mutex>
 #include <ostream>
 
-#include "runtime/sweep/parallel_solver.hpp"
+#include "core/solvability.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "telemetry/trace.hpp"
 
@@ -272,13 +272,15 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       SolvabilityOptions solve = job.solve;
       if (job.kind == JobKind::kDecisionTable) solve.build_table = true;
       if (registry.has_value()) solve.metrics = &*registry;
-      outcome.result = parallel_check_solvability(*adversary, solve, pool,
-                                                  on_depth, sharding);
+      outcome.result = check_solvability(*adversary, solve,
+                                         pool.as_parallel_for(), on_depth,
+                                         sharding);
     } else {
       AnalysisOptions series = job.analysis;
       if (registry.has_value()) series.metrics = &*registry;
-      outcome.series = parallel_depth_series(*adversary, series, pool,
-                                             on_depth, sharding);
+      outcome.series = depth_series(*adversary, series,
+                                    pool.as_parallel_for(), on_depth,
+                                    sharding);
     }
     outcome.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -3,7 +3,8 @@
 // A SweepSpec is a batch of independent solver jobs -- adversary family x
 // n x parameter grid -- executed concurrently on one work-helping thread
 // pool: jobs run in parallel, and inside every job the depth-t prefix
-// expansion is root-sharded over the same pool (parallel_solver.hpp).
+// expansion is chunk-sharded over the same pool by the level driver
+// (core/shard_set.hpp).
 // Results come back in job order with every field independent of the
 // thread count, so sweeps are reproducible artifacts: running with 1 or
 // 64 threads yields byte-identical JSON.
@@ -44,7 +45,7 @@ namespace topocon::sweep {
 class ThreadPool;
 
 enum class JobKind {
-  /// Iterative-deepening solvability check (parallel_check_solvability).
+  /// Iterative-deepening solvability check (check_solvability).
   kSolvability,
   /// Depth-by-depth epsilon-approximation series for depths 1..max,
   /// continuing past separation (the E4/E6/E7 convergence curves).
@@ -137,8 +138,9 @@ struct SweepHooks {
 /// like spec.jobs; interners inside the outcomes are re-homed to the
 /// calling thread. Does NOT record into the global registry -- callers
 /// that retain outcomes do so themselves (api::Session records into its
-/// own history). Inside every job the expansion is chunk-sharded with
-/// the process-default chunk size (parallel_solver.hpp).
+/// own history). Inside every job the level driver (core/shard_set.hpp)
+/// chunk-shards the expansion over `pool` with the process-default
+/// chunk size (default_chunk_states(), core/frontier.hpp).
 std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
                                      const SweepHooks& hooks = {});
 

@@ -21,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/parallel_for.hpp"
+
 namespace topocon::sweep {
 
 /// Resolves a thread-count request: values >= 1 are returned unchanged,
@@ -47,6 +49,16 @@ class ThreadPool {
   /// by any fn is rethrown here (remaining indices still run).
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
+
+  /// parallel_for as the core layer's fork-join shape
+  /// (core/parallel_for.hpp), for the level driver and component
+  /// labelling. The pool must outlive every use of the result.
+  ParallelFor as_parallel_for() {
+    return [this](std::size_t count,
+                  const std::function<void(std::size_t)>& fn) {
+      parallel_for(count, fn);
+    };
+  }
 
  private:
   struct Batch {

@@ -41,7 +41,7 @@ std::vector<Query> build_omission_n4(const GridOverrides& overrides) {
   // only 16 input-vector roots but millions of states in a heavy level,
   // so this grid is exactly the shape root-only sharding cannot balance
   // -- it exists because the chunked frontier engine spreads each root's
-  // levels over every thread (parallel_solver.hpp).
+  // levels over every thread (core/shard_set.hpp).
   const int n = overrides.n.value_or(4);
   const FamilyParamRange range = family_param_range("omission", n);
   const auto [f_min, f_max] =
@@ -51,7 +51,7 @@ std::vector<Query> build_omission_n4(const GridOverrides& overrides) {
   options.max_depth = 3;
   // Enough for the depth-3 certificate of f = 2 (7,888,624 leaf classes);
   // budget-capped points past the frontier report RESOURCE-LIMIT after
-  // O(max_states) work (the level budget in parallel_solver.cpp).
+  // O(max_states) work (the level budget in core/shard_set.cpp).
   options.max_states = 8'000'000;
   options.build_table = false;
   for (const FamilyPoint& point : family_grid("omission", n, f_min, f_max)) {

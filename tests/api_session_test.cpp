@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "api/api.hpp"
+#include "core/frontier.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 
 namespace topocon {
 namespace {
@@ -170,11 +170,11 @@ TEST(ApiSession, ObserverStreamsChunkProgressAndItNeverChangesResults) {
   // Force the finest sub-root sharding; the document must not change.
   Session base({.num_threads = 2, .record_global = false});
   base.run("chunked", mixed_queries());
-  sweep::set_default_chunk_states(1);
+  set_default_chunk_states(1);
   Session session({.num_threads = 2, .record_global = false});
   ChunkObserver observer;
   session.run("chunked", mixed_queries(), &observer);
-  sweep::set_default_chunk_states(0);
+  set_default_chunk_states(0);
   EXPECT_GT(observer.chunk_events, 0);
   EXPECT_EQ(history_json(session), history_json(base));
 }

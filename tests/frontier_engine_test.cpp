@@ -4,7 +4,9 @@
 // interner's id assignment order -- plus partition determinism, budget
 // early-abort semantics, and the WordSeqIndex dedup table.
 #include <cstdint>
+#include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +33,22 @@ std::vector<std::vector<PrefixState>> reference_levels(
     levels.push_back(std::move(level.states));
   }
   return levels;
+}
+
+/// One level the way the level driver (core/shard_set.hpp) runs it on
+/// one lane, without a budget: partition into chunks of at most
+/// `chunk_states` parents (0 = one chunk), expand, merge, and commit.
+/// Returns false, committing nothing, if the merged level overflows
+/// max_states.
+bool commit_next_level(FrontierEngine& engine, std::size_t chunk_states = 0) {
+  std::vector<PendingFrontier> expansions;
+  for (const FrontierChunk& chunk : engine.partition(chunk_states)) {
+    expansions.push_back(engine.expand(chunk));
+  }
+  PendingFrontier level = engine.merge(std::move(expansions));
+  if (level.overflow) return false;
+  engine.commit(std::move(level));
+  return true;
 }
 
 void expect_states_equal(const std::vector<PrefixState>& a,
@@ -181,7 +199,7 @@ TEST(FrontierEngine, MatchesReferenceExpansionLevelByLevel) {
     FrontierEngine engine(*ma, options, interner, 0, 4);
     expect_states_equal(reference[0], engine.frontier(), "level 0");
     for (std::size_t s = 1; s < reference.size(); ++s) {
-      ASSERT_TRUE(engine.advance());
+      ASSERT_TRUE(commit_next_level(engine));
       expect_states_equal(reference[s], engine.frontier(), "level");
     }
     // Dedup-before-intern must produce the same interner content in the
@@ -197,14 +215,14 @@ TEST(FrontierEngine, EveryChunkSizeYieldsIdenticalLevelsAndIds) {
   options.keep_levels = true;
   ViewInterner base_interner;
   FrontierEngine base(*ma, options, base_interner, 0, 4);
-  while (base.level() < options.depth) ASSERT_TRUE(base.advance());
+  while (base.level() < options.depth) ASSERT_TRUE(commit_next_level(base));
 
   for (const std::size_t chunk_states :
        {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
     ViewInterner interner;
     FrontierEngine engine(*ma, options, interner, 0, 4);
     while (engine.level() < options.depth) {
-      ASSERT_TRUE(engine.advance(chunk_states));
+      ASSERT_TRUE(commit_next_level(engine, chunk_states));
     }
     ASSERT_EQ(engine.levels().size(), base.levels().size());
     for (std::size_t s = 0; s < base.levels().size(); ++s) {
@@ -223,8 +241,8 @@ TEST(FrontierEngine, PartitionIsDeterministicAndCoversTheFrontier) {
   options.depth = 2;
   ViewInterner interner;
   FrontierEngine engine(*ma, options, interner, 0, 4);
-  ASSERT_TRUE(engine.advance());
-  ASSERT_TRUE(engine.advance());
+  ASSERT_TRUE(commit_next_level(engine));
+  ASSERT_TRUE(commit_next_level(engine));
   const std::size_t size = engine.frontier().size();
   ASSERT_GT(size, 4u);
 
@@ -252,7 +270,7 @@ TEST(FrontierEngine, ExpandIsReadOnlyAndChunksCompose) {
   options.depth = 2;
   ViewInterner interner;
   FrontierEngine engine(*ma, options, interner, 0, 4);
-  ASSERT_TRUE(engine.advance());
+  ASSERT_TRUE(commit_next_level(engine));
 
   const std::vector<FrontierChunk> chunks = engine.partition(2);
   ASSERT_GT(chunks.size(), 1u);
@@ -279,7 +297,7 @@ TEST(FrontierEngine, BudgetAbortsDoomedLevels) {
   options.max_states = 1000;  // level 1 has 176 classes, level 2 has 3872
   ViewInterner interner;
   FrontierEngine engine(*ma, options, interner, 0, 8);
-  ASSERT_TRUE(engine.advance());  // level 1 fits
+  ASSERT_TRUE(commit_next_level(engine));  // level 1 fits
 
   FrontierBudget budget(options.max_states);
   const std::vector<FrontierChunk> chunks = engine.partition(4);
@@ -291,7 +309,6 @@ TEST(FrontierEngine, BudgetAbortsDoomedLevels) {
   EXPECT_TRUE(budget.exceeded());
   // The engine itself is untouched: the level was never committed.
   EXPECT_EQ(engine.level(), 1);
-  EXPECT_FALSE(engine.truncated());
 }
 
 TEST(FrontierEngine, OverflowLeavesLastCompleteLevel) {
@@ -302,8 +319,10 @@ TEST(FrontierEngine, OverflowLeavesLastCompleteLevel) {
   ViewInterner interner;
   FrontierEngine engine(*ma, options, interner, 0, 4);
   int completed = 0;
-  while (engine.level() < options.depth && engine.advance(1)) ++completed;
-  EXPECT_TRUE(engine.truncated());
+  while (engine.level() < options.depth && commit_next_level(engine, 1)) {
+    ++completed;
+  }
+  EXPECT_LT(completed, options.depth) << "no level overflowed";
   EXPECT_EQ(engine.level(), completed);
   EXPECT_LE(engine.frontier().size(), options.max_states);
 }

@@ -1,9 +1,9 @@
 // Differential harness over the seeded composed-adversary fuzzer
 // (scenario/fuzz.hpp): every fuzzed point is run through the oracle
 // checker (check_solvability_oracle -- the single-scan reference
-// expansion), the serial FrontierEngine checker, and the chunk-sharded
-// parallel checker at several chunk sizes and thread counts, and ALL of
-// them must agree bit for bit on the verdict, the certified depth, and
+// expansion) and through check_solvability on one lane (the calling
+// thread) and on pools at several chunk sizes and thread counts, and ALL
+// of them must agree bit for bit on the verdict, the certified depth, and
 // every per-depth statistic including the interned-view counts. Failure
 // messages carry the seed and the point's replayable spec label, so any
 // divergence reproduces with
@@ -24,7 +24,6 @@
 #include "adversary/compose.hpp"
 #include "adversary/family.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "scenario/fuzz.hpp"
 
@@ -58,7 +57,7 @@ void expect_same_result(const SolvabilityResult& oracle,
   }
 }
 
-/// The harness: fuzz `spec`, then demand oracle == serial == parallel at
+/// The harness: fuzz `spec`, then demand oracle == 1 lane == parallel at
 /// threads x chunk in {1, 2, 8} x {1, default} for every point.
 void run_differential(const scenario::FuzzSpec& spec) {
   const std::vector<FamilyPoint> points = scenario::fuzz_points(spec);
@@ -80,15 +79,15 @@ void run_differential(const scenario::FuzzSpec& spec) {
         check_solvability_oracle(*adversary, options);
 
     expect_same_result(oracle, check_solvability(*adversary, options),
-                       context + " (serial FrontierEngine)");
+                       context + " (1 lane)");
     for (sweep::ThreadPool* const pool : pools) {
       for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{0}}) {
-        sweep::ShardingOptions sharding;
+        ShardingOptions sharding;
         sharding.chunk_states = chunk_states;
         expect_same_result(
             oracle,
-            sweep::parallel_check_solvability(*adversary, options, *pool,
-                                              {}, sharding),
+            check_solvability(*adversary, options, pool->as_parallel_for(),
+                              {}, sharding),
             context + " (parallel threads=" +
                 std::to_string(pool->num_threads()) +
                 " chunk=" + std::to_string(chunk_states) + ")");

@@ -16,9 +16,9 @@
 #include "adversary/lossy_link.hpp"
 #include "adversary/omission.hpp"
 #include "core/epsilon_approx.hpp"
+#include "core/shard_set.hpp"
 #include "core/solvability.hpp"
 #include "graph/enumerate.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
@@ -93,10 +93,10 @@ void expect_one_shot_matches_oracle(const MessageAdversary& adversary,
   const DepthAnalysis oracle = analyze_depth_oracle(adversary, options);
   for (const Lane& lane : kLanes) {
     sweep::ThreadPool pool(lane.threads);
-    sweep::ShardingOptions sharding;
+    ShardingOptions sharding;
     sharding.chunk_states = lane.chunk_states;
-    const DepthAnalysis got = sweep::parallel_analyze_depth(
-        adversary, options, pool, nullptr, sharding);
+    const DepthAnalysis got = analyze_depth(
+        adversary, options, nullptr, pool.as_parallel_for(), sharding);
     expect_same_analysis(oracle, got, describe(lane, what));
   }
 }
@@ -175,10 +175,10 @@ TEST(ParallelAssembly, IterativeAndCertifyPassesMatchOracle) {
     ASSERT_TRUE(oracle.analysis.has_value()) << c.what;
     for (const Lane& lane : kLanes) {
       sweep::ThreadPool pool(lane.threads);
-      sweep::ShardingOptions sharding;
+      ShardingOptions sharding;
       sharding.chunk_states = lane.chunk_states;
-      const SolvabilityResult got = sweep::parallel_check_solvability(
-          *c.adversary, options, pool, {}, sharding);
+      const SolvabilityResult got = check_solvability(
+          *c.adversary, options, pool.as_parallel_for(), {}, sharding);
       const std::string ctx = describe(lane, c.what);
       EXPECT_EQ(got.verdict, oracle.verdict) << ctx;
       EXPECT_EQ(got.per_depth, oracle.per_depth) << ctx;
@@ -214,12 +214,12 @@ TEST(ParallelAssembly, TwoPhaseAbsorbMatchesAbsorbFrom) {
     ViewInterner serial;
     std::vector<std::vector<ViewId>> two_phase_remaps(kShards);
     std::vector<std::vector<ViewId>> serial_remaps(kShards);
-    std::vector<sweep::AbsorbSource> sources;
+    std::vector<AbsorbSource> sources;
     for (std::size_t r = 0; r < kShards; ++r) {
       sources.push_back({&shards[r], &two_phase_remaps[r]});
     }
     for (int depth = 0; depth < 4; ++depth) {
-      sweep::absorb_depth(two_phase, sources, depth, pool);
+      absorb_depth(two_phase, sources, depth, pool.as_parallel_for());
       for (std::size_t r = 0; r < kShards; ++r) {
         serial.absorb_from(shards[r], serial_remaps[r]);
       }

@@ -1,7 +1,7 @@
 // Randomized differential test of the parallel sweep engine: ~200 random
 // compact (oblivious) adversaries with n <= 3 and depth <= 4, each checked
-// by the serial solvability checker and by the parallel engine at a
-// rotating thread count. Verdicts, per-depth statistics, leaf partitions,
+// by the single-scan reference checker (check_solvability_oracle) and by
+// check_solvability on a pool of rotating size. Verdicts, per-depth statistics, leaf partitions,
 // and component structures must agree exactly (the engine's contract is
 // bit-identical results, not just equal verdicts).
 #include <memory>
@@ -13,7 +13,7 @@
 #include "adversary/oblivious.hpp"
 #include "core/solvability.hpp"
 #include "graph/enumerate.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
 namespace {
@@ -98,10 +98,10 @@ TEST(SweepDifferential, RandomCompactAdversaries) {
     options.build_table = (rng() % 2) == 0;
     options.strong_validity = (rng() % 4) == 0;
 
-    const SolvabilityResult serial = check_solvability(*ma, options);
+    const SolvabilityResult serial = check_solvability_oracle(*ma, options);
     sweep::ThreadPool pool(2 + static_cast<int>(i % 3));
     const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(*ma, options, pool);
+        check_solvability(*ma, options, pool.as_parallel_for());
     expect_equal_results(serial, parallel, i);
   }
 }

@@ -1,12 +1,13 @@
 // Unit tests for the parallel sweep engine: thread-pool semantics
-// (including nesting), exact agreement of the chunk-sharded depth
-// analysis with the serial one (at several forced chunk sizes), the
-// incremental deepening on shards kept across depths against the
-// single-scan reference, SweepSpec execution with deterministic result
+// (including nesting), exact agreement of the chunk-sharded level driver
+// with the single-scan reference (at several forced chunk sizes), the
+// incremental deepening on shards kept across depths, on the calling
+// thread and on pools, SweepSpec execution with deterministic result
 // ordering, and byte-identical JSON across thread counts.
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "core/solvability.hpp"
 #include "runtime/sweep/engine.hpp"
 #include "runtime/sweep/json.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -30,7 +30,6 @@ namespace {
 using sweep::JobKind;
 using sweep::JobOutcome;
 using sweep::JsonWriter;
-using sweep::ShardingOptions;
 using sweep::SweepSpec;
 using sweep::ThreadPool;
 
@@ -80,7 +79,7 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(sweep::resolve_threads(0), 1);
 }
 
-// ---- parallel_analyze_depth vs analyze_depth ----------------------------
+// ---- analyze_depth on a pool vs analyze_depth_oracle -------------------
 
 void expect_analysis_equal(const DepthAnalysis& serial,
                            const DepthAnalysis& parallel) {
@@ -138,11 +137,12 @@ TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
       AnalysisOptions options;
       options.depth = 4;
       options.keep_levels = keep_levels;
-      const DepthAnalysis serial = analyze_depth(*ma, options);
+      const DepthAnalysis serial = analyze_depth_oracle(*ma, options);
       for (const int threads : {1, 2, 4}) {
         ThreadPool pool(threads);
-        expect_analysis_equal(
-            serial, sweep::parallel_analyze_depth(*ma, options, pool));
+        expect_analysis_equal(serial,
+                              analyze_depth(*ma, options, nullptr,
+                                            pool.as_parallel_for()));
       }
     }
   }
@@ -150,21 +150,21 @@ TEST(ParallelAnalyze, MatchesSerialOnLossyLink) {
 
 TEST(ParallelAnalyze, MatchesSerialAtEveryChunkSize) {
   // Sub-root sharding forced down to one-state chunks must reproduce the
-  // serial analysis exactly -- including tree links.
+  // single-scan analysis exactly -- including tree links.
   const auto ma = make_lossy_link(0b111);
   AnalysisOptions options;
   options.depth = 4;
   options.keep_levels = true;
-  const DepthAnalysis serial = analyze_depth(*ma, options);
+  const DepthAnalysis serial = analyze_depth_oracle(*ma, options);
   for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{2},
                                          std::size_t{7}, std::size_t{64}}) {
     for (const int threads : {1, 3}) {
       ThreadPool pool(threads);
       ShardingOptions sharding;
       sharding.chunk_states = chunk_states;
-      expect_analysis_equal(serial,
-                            sweep::parallel_analyze_depth(
-                                *ma, options, pool, nullptr, sharding));
+      expect_analysis_equal(
+          serial, analyze_depth(*ma, options, nullptr,
+                                pool.as_parallel_for(), sharding));
     }
   }
 }
@@ -175,14 +175,14 @@ TEST(ParallelAnalyze, MatchesSerialOnOmissionN3) {
   options.depth = 2;
   options.max_states = 6'000'000;
   options.keep_levels = false;
-  const DepthAnalysis serial = analyze_depth(*ma, options);
+  const DepthAnalysis serial = analyze_depth_oracle(*ma, options);
   ThreadPool pool(3);
-  expect_analysis_equal(serial,
-                        sweep::parallel_analyze_depth(*ma, options, pool));
+  expect_analysis_equal(
+      serial, analyze_depth(*ma, options, nullptr, pool.as_parallel_for()));
   ShardingOptions fine;
   fine.chunk_states = 1;
-  expect_analysis_equal(serial, sweep::parallel_analyze_depth(
-                                    *ma, options, pool, nullptr, fine));
+  expect_analysis_equal(serial, analyze_depth(*ma, options, nullptr,
+                                              pool.as_parallel_for(), fine));
 }
 
 TEST(ParallelAnalyze, TruncationMatchesSerial) {
@@ -190,15 +190,15 @@ TEST(ParallelAnalyze, TruncationMatchesSerial) {
   AnalysisOptions options;
   options.depth = 6;
   options.max_states = 50;  // overflows at some level > 1
-  const DepthAnalysis serial = analyze_depth(*ma, options);
+  const DepthAnalysis serial = analyze_depth_oracle(*ma, options);
   ASSERT_TRUE(serial.truncated);
   for (const std::size_t chunk_states : {std::size_t{0}, std::size_t{1}}) {
     for (const int threads : {1, 3}) {
       ThreadPool pool(threads);
       ShardingOptions sharding;
       sharding.chunk_states = chunk_states;
-      const DepthAnalysis parallel = sweep::parallel_analyze_depth(
-          *ma, options, pool, nullptr, sharding);
+      const DepthAnalysis parallel = analyze_depth(
+          *ma, options, nullptr, pool.as_parallel_for(), sharding);
       EXPECT_TRUE(parallel.truncated);
       EXPECT_EQ(parallel.depth, serial.depth);
       EXPECT_EQ(parallel.leaves().size(), serial.leaves().size());
@@ -209,8 +209,9 @@ TEST(ParallelAnalyze, TruncationMatchesSerial) {
 // One budgeted pass decides truncation exactly: omission(3,2) has 176
 // classes at level 1 and exactly 3872 at level 2, so a cap of 3872 fits
 // and 3871 truncates -- at every chunk size and thread count, with one
-// abort tick and the interner left at its depth-1 size, like the serial
-// analysis.
+// abort tick and the interner left at its depth-1 size (the single-scan
+// reference interns the doomed level before it notices the overflow, so
+// it is the reference for the fitting cap only).
 TEST(ParallelAnalyze, BudgetBoundaryIsExactInOnePass) {
   const auto ma = make_omission_adversary(3, 2);
   AnalysisOptions options;
@@ -219,10 +220,10 @@ TEST(ParallelAnalyze, BudgetBoundaryIsExactInOnePass) {
   AnalysisOptions depth_one = options;
   depth_one.depth = 1;
   const std::size_t depth_one_views =
-      analyze_depth(*ma, depth_one).interner->size();
+      analyze_depth_oracle(*ma, depth_one).interner->size();
   for (const std::size_t max_states : {std::size_t{3872}, std::size_t{3871}}) {
     options.max_states = max_states;
-    const DepthAnalysis serial = analyze_depth(*ma, options);
+    const DepthAnalysis serial = analyze_depth_oracle(*ma, options);
     const bool fits = max_states == 3872;
     ASSERT_EQ(serial.truncated, !fits);
     for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{0}}) {
@@ -233,8 +234,8 @@ TEST(ParallelAnalyze, BudgetBoundaryIsExactInOnePass) {
         telemetry::MetricsRegistry registry;
         AnalysisOptions traced = options;
         traced.metrics = &registry;
-        const DepthAnalysis parallel = sweep::parallel_analyze_depth(
-            *ma, traced, pool, nullptr, sharding);
+        const DepthAnalysis parallel = analyze_depth(
+            *ma, traced, nullptr, pool.as_parallel_for(), sharding);
         SCOPED_TRACE(testing::Message()
                      << "max_states " << max_states << " chunk "
                      << chunk_states << " threads " << threads);
@@ -243,10 +244,8 @@ TEST(ParallelAnalyze, BudgetBoundaryIsExactInOnePass) {
         EXPECT_EQ(parallel.leaves().size(), fits ? 3872u : 176u);
         EXPECT_EQ(registry.snapshot().counters.budget_early_aborts,
                   fits ? 0u : 1u);
-        EXPECT_EQ(parallel.interner->size(), serial.interner->size());
-        if (!fits) {
-          EXPECT_EQ(parallel.interner->size(), depth_one_views);
-        }
+        EXPECT_EQ(parallel.interner->size(),
+                  fits ? serial.interner->size() : depth_one_views);
         expect_analysis_equal(serial, parallel);
       }
     }
@@ -264,9 +263,9 @@ TEST(ParallelAnalyze, ChunkProgressCountsEveryChunkOfEveryLevel) {
   sharding.on_chunk = [&](const ChunkProgress& progress) {
     events.push_back(progress);
   };
-  const DepthAnalysis analysis =
-      sweep::parallel_analyze_depth(*ma, options, pool, nullptr, sharding);
-  const DepthAnalysis serial = analyze_depth(*ma, options);
+  const DepthAnalysis analysis = analyze_depth(
+      *ma, options, nullptr, pool.as_parallel_for(), sharding);
+  const DepthAnalysis serial = analyze_depth_oracle(*ma, options);
   expect_analysis_equal(serial, analysis);
 
   // Per level: chunks_done runs 1..chunks_total, and at least one level
@@ -297,10 +296,10 @@ TEST(ParallelCheck, AgreesWithSerialVerdicts) {
     const auto ma = make_lossy_link(mask);
     SolvabilityOptions options;
     options.max_depth = 5;
-    const SolvabilityResult serial = check_solvability(*ma, options);
+    const SolvabilityResult serial = check_solvability_oracle(*ma, options);
     ThreadPool pool(2);
     const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(*ma, options, pool);
+        check_solvability(*ma, options, pool.as_parallel_for());
     EXPECT_EQ(parallel.verdict, serial.verdict);
     EXPECT_EQ(parallel.certified_depth, serial.certified_depth);
     EXPECT_EQ(parallel.per_depth.size(), serial.per_depth.size());
@@ -327,11 +326,11 @@ TEST(ParallelCheck, ChunkedVerdictAndStatsMatchUnchunked) {
   options.max_depth = 5;
   ThreadPool pool(2);
   const SolvabilityResult base =
-      sweep::parallel_check_solvability(*ma, options, pool);
+      check_solvability(*ma, options, pool.as_parallel_for());
   ShardingOptions fine;
   fine.chunk_states = 1;
   const SolvabilityResult chunked =
-      sweep::parallel_check_solvability(*ma, options, pool, {}, fine);
+      check_solvability(*ma, options, pool.as_parallel_for(), {}, fine);
   EXPECT_EQ(chunked.verdict, base.verdict);
   EXPECT_EQ(chunked.certified_depth, base.certified_depth);
   ASSERT_EQ(chunked.per_depth.size(), base.per_depth.size());
@@ -344,17 +343,21 @@ TEST(ParallelCheck, ChunkedVerdictAndStatsMatchUnchunked) {
 
 // ---- ParallelDeepening: one shard set across all depths of a check -------
 
-/// Runs `body` at threads {1, 4} x chunk {1, default}.
+/// Runs `body` at threads {0, 1, 4} x chunk {1, default}, where 0 is the
+/// calling thread (an empty ParallelFor, i.e. plain check_solvability).
 void for_each_execution(
-    const std::function<void(ThreadPool&, const ShardingOptions&)>& body) {
-  for (const int threads : {1, 4}) {
-    ThreadPool pool(threads);
+    const std::function<void(const ParallelFor&, const ShardingOptions&)>&
+        body) {
+  for (const int threads : {0, 1, 4}) {
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    const ParallelFor lanes = pool ? pool->as_parallel_for() : ParallelFor{};
     for (const std::size_t chunk_states : {std::size_t{1}, std::size_t{0}}) {
       ShardingOptions sharding;
       sharding.chunk_states = chunk_states;
       SCOPED_TRACE(testing::Message()
                    << "threads " << threads << " chunk " << chunk_states);
-      body(pool, sharding);
+      body(lanes, sharding);
     }
   }
 }
@@ -390,16 +393,17 @@ TEST(ParallelDeepening, MatchesOracleAtEveryDepth) {
     ASSERT_EQ(oracle.verdict, SolvabilityVerdict::kNotSeparated);
     ASSERT_EQ(oracle.per_depth.size(),
               static_cast<std::size_t>(c.max_depth));
-    for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
-      expect_same_check(oracle, sweep::parallel_check_solvability(
-                                    *c.adversary, options, pool, {},
-                                    sharding));
+    for_each_execution([&](const ParallelFor& lanes,
+                             const ShardingOptions& sharding) {
+      expect_same_check(oracle, check_solvability(*c.adversary, options,
+                                                  lanes, {}, sharding));
     });
   }
 }
 
 // The work counters prove the saving: six depths commit six levels, each
-// exactly once, instead of 1 + 2 + ... + 6.
+// exactly once, instead of 1 + 2 + ... + 6 -- on the calling thread too,
+// where check_solvability runs the same driver on one lane.
 TEST(ParallelDeepening, CommitsEveryLevelOnce) {
   const auto ma = make_lossy_link(0b111);
   SolvabilityOptions options;
@@ -409,11 +413,12 @@ TEST(ParallelDeepening, CommitsEveryLevelOnce) {
   for (const DepthStats& stats : oracle.per_depth) {
     level_sizes += stats.num_leaf_classes;
   }
-  for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
+  for_each_execution([&](const ParallelFor& lanes,
+                             const ShardingOptions& sharding) {
     telemetry::MetricsRegistry registry;
     SolvabilityOptions traced = options;
     traced.metrics = &registry;
-    sweep::parallel_check_solvability(*ma, traced, pool, {}, sharding);
+    check_solvability(*ma, traced, lanes, {}, sharding);
     const telemetry::TelemetryCounters counters = registry.snapshot().counters;
     EXPECT_EQ(counters.levels_committed, 6u);
     EXPECT_EQ(counters.states_committed, level_sizes);
@@ -431,27 +436,30 @@ TEST(ParallelDeepening, TruncationKeepsTheLastCompleteDepth) {
   const SolvabilityResult oracle = check_solvability_oracle(*ma, options);
   ASSERT_EQ(oracle.verdict, SolvabilityVerdict::kResourceLimit);
   ASSERT_EQ(oracle.analysis->depth, 1);
-  for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
+  for_each_execution([&](const ParallelFor& lanes,
+                             const ShardingOptions& sharding) {
     const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(*ma, options, pool, {}, sharding);
+        check_solvability(*ma, options, lanes, {}, sharding);
     expect_same_check(oracle, parallel);
     EXPECT_TRUE(parallel.analysis->truncated);
   });
 }
 
 // The certify pass runs from scratch after the kept shards are released;
-// its table must decide every prefix exactly like the serial checker's.
+// its table must decide every prefix exactly like the single-scan
+// reference checker's.
 TEST(ParallelDeepening, CertifiedTableMatchesSerial) {
   const auto ma = make_lossy_link(0b011);
   SolvabilityOptions options;
   options.max_depth = 5;
   options.build_table = true;
-  const SolvabilityResult serial = check_solvability(*ma, options);
+  const SolvabilityResult serial = check_solvability_oracle(*ma, options);
   ASSERT_EQ(serial.verdict, SolvabilityVerdict::kSolvable);
   ASSERT_TRUE(serial.table.has_value());
-  for_each_execution([&](ThreadPool& pool, const ShardingOptions& sharding) {
+  for_each_execution([&](const ParallelFor& lanes,
+                             const ShardingOptions& sharding) {
     const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(*ma, options, pool, {}, sharding);
+        check_solvability(*ma, options, lanes, {}, sharding);
     expect_same_check(serial, parallel);
     ASSERT_TRUE(parallel.table.has_value());
     const DecisionTable& a = *serial.table;
@@ -542,9 +550,9 @@ TEST(RunSweepOn, DeterministicOrderingAndJsonAcrossThreadCounts) {
 
 TEST(RunSweepOn, JsonIdenticalUnderFinestChunking) {
   const std::string base_json = spec_json(run_small_spec(2));
-  sweep::set_default_chunk_states(1);
+  set_default_chunk_states(1);
   const std::string chunked_json = spec_json(run_small_spec(2));
-  sweep::set_default_chunk_states(0);
+  set_default_chunk_states(0);
   EXPECT_EQ(chunked_json, base_json);
 }
 

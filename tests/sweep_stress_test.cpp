@@ -3,7 +3,7 @@
 // stress/TSan lanes). Repeats the acceptance checks at full scale: the
 // E5-style omission family sweep must produce byte-identical JSON at 1
 // thread, 8 threads, and hardware_concurrency, and heavyweight analyses
-// must match the serial checker exactly under thread oversubscription.
+// on an oversubscribed pool must match the calling thread's exactly.
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,7 +14,7 @@
 #include "adversary/family.hpp"
 #include "api/api.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
 namespace {
@@ -53,8 +53,8 @@ TEST(SweepStress, OmissionBenchJsonByteIdenticalAcrossThreadCounts) {
 }
 
 // Deep windowed analysis (26k leaf classes at w = 1) under an
-// oversubscribed pool: exact agreement with the serial analysis.
-TEST(SweepStress, DeepWindowedAnalysisMatchesSerialOversubscribed) {
+// oversubscribed pool: exact agreement with the same driver on one lane.
+TEST(SweepStress, DeepWindowedAnalysisMatchesOneLaneOversubscribed) {
   const auto ma = make_family_adversary({"windowed_lossy_link", 2, 1});
   AnalysisOptions options;
   options.depth = 8;
@@ -64,7 +64,7 @@ TEST(SweepStress, DeepWindowedAnalysisMatchesSerialOversubscribed) {
   const int hw = sweep::resolve_threads(0);
   sweep::ThreadPool pool(2 * hw + 1);
   const DepthAnalysis parallel =
-      sweep::parallel_analyze_depth(*ma, options, pool);
+      analyze_depth(*ma, options, nullptr, pool.as_parallel_for());
   EXPECT_EQ(parallel.leaf_component, serial.leaf_component);
   EXPECT_EQ(parallel.components.size(), serial.components.size());
   EXPECT_EQ(parallel.merged_components, serial.merged_components);

@@ -4,10 +4,10 @@
 // where requested) -- across input-domain sizes, window sizes, and
 // adversary parameters.
 //
-// Every sweep is additionally re-run through the parallel engine at 1, 2,
-// and hardware_concurrency() threads; component counts, valence sets, and
-// verdicts must be bit-identical to the serial checker at every thread
-// count (the engine's determinism contract).
+// Every sweep is additionally re-run on pools of 1, 2, and
+// hardware_concurrency() threads; component counts, valence sets, and
+// verdicts must be bit-identical to the calling-thread run at every
+// thread count (the level driver's determinism contract).
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -23,15 +23,15 @@
 #include "analysis/oracles.hpp"
 #include "core/solvability.hpp"
 #include "runtime/simulator.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 #include "runtime/universal_runner.hpp"
 #include "runtime/verify.hpp"
 
 namespace topocon {
 namespace {
 
-// Engine determinism: the parallel checker must reproduce the serial
-// result bit-for-bit at every thread count.
+// Engine determinism: the checker on a pool must reproduce the
+// calling-thread result bit-for-bit at every thread count.
 void expect_parallel_matches(const MessageAdversary& ma,
                              const SolvabilityOptions& options,
                              const SolvabilityResult& serial) {
@@ -39,7 +39,7 @@ void expect_parallel_matches(const MessageAdversary& ma,
   for (const int threads : {1, 2, hw}) {
     sweep::ThreadPool pool(threads);
     const SolvabilityResult parallel =
-        sweep::parallel_check_solvability(ma, options, pool);
+        check_solvability(ma, options, pool.as_parallel_for());
     ASSERT_EQ(parallel.verdict, serial.verdict)
         << ma.name() << " at " << threads << " threads";
     EXPECT_EQ(parallel.certified_depth, serial.certified_depth);

@@ -19,7 +19,6 @@
 #include "api/api.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/json.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -205,10 +204,11 @@ TEST(TraceWriter, DeepeningLabelsChunksWithTheirLevelsDepth) {
     options.max_depth = 3;
     options.metrics = &registry;
     sweep::ThreadPool pool(2);
-    sweep::ShardingOptions sharding;
+    ShardingOptions sharding;
     sharding.chunk_states = 1;
-    const SolvabilityResult result = sweep::parallel_check_solvability(
-        *make_lossy_link(0b111), options, pool, {}, sharding);
+    const SolvabilityResult result = check_solvability(
+        *make_lossy_link(0b111), options, pool.as_parallel_for(), {},
+        sharding);
     ASSERT_EQ(result.per_depth.size(), 3u);
   }
   const sweep::JsonValue doc = sweep::JsonReader::parse(out.str());
@@ -265,8 +265,8 @@ TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
     options.max_depth = 4;
     options.metrics = &registry;
     sweep::ThreadPool pool(2);
-    const SolvabilityResult result = sweep::parallel_check_solvability(
-        *make_lossy_link(0b011), options, pool);
+    const SolvabilityResult result = check_solvability(
+        *make_lossy_link(0b011), options, pool.as_parallel_for());
     ASSERT_EQ(result.verdict, SolvabilityVerdict::kSolvable);
   }
   const sweep::JsonValue doc = sweep::JsonReader::parse(out.str());

@@ -41,9 +41,9 @@
 // `fuzz` is the composed-adversary differential harness: it expands the
 // seeded fuzzer (scenario/fuzz.hpp) into `--count` composed points and
 // runs every point through the oracle checker (check_solvability_oracle,
-// the single-scan reference expansion), the serial FrontierEngine checker,
-// and the chunk-sharded parallel checker at chunk sizes 1 and default --
-// then demands bit-identical verdicts, certified depths, and per-depth
+// the single-scan reference expansion) and through check_solvability on
+// one lane (the calling thread) and on the `--threads` pool at chunk
+// sizes 1 and default -- then demands bit-identical verdicts, certified depths, and per-depth
 // statistics (including interned-view counts) from all of them. Any
 // divergence prints the seed, the point index, and its replayable spec
 // label to stderr and exits 1. The stdout table carries no timings, so a
@@ -95,7 +95,6 @@
 #include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
 #include "runtime/sweep/cli.hpp"
-#include "runtime/sweep/parallel_solver.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -279,7 +278,7 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
     const std::string_view arg = argv[i];
     try {
       if (const auto v = sweep::flag_value(arg, "threads")) {
-        flags->threads = sweep::parse_int_value("threads", *v);
+        flags->threads = sweep::parse_threads_value("threads", *v);
       } else if (const auto v = sweep::flag_value(arg, "chunk")) {
         flags->chunk = sweep::parse_int_value("chunk", *v);
         if (flags->chunk <= 0) {
@@ -780,7 +779,7 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
   }
 
   if (flags.chunk > 0) {
-    sweep::set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
+    set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
   }
   if (flags.frontier.has_value()) {
     set_default_frontier_mode(*flags.frontier);
@@ -970,7 +969,7 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
   }
   sweep::CheckpointWriter ckpt(ckpt_out);
   if (flags.chunk > 0) {
-    sweep::set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
+    set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
   }
   if (flags.frontier.has_value()) {
     set_default_frontier_mode(*flags.frontier);
@@ -1030,7 +1029,7 @@ bool parse_fuzz_flags(int argc, char** argv, FuzzFlags* flags) {
       } else if (const auto v = sweep::flag_value(arg, "depth")) {
         flags->spec.depth = sweep::parse_int_value("depth", *v);
       } else if (const auto v = sweep::flag_value(arg, "threads")) {
-        flags->threads = sweep::parse_int_value("threads", *v);
+        flags->threads = sweep::parse_threads_value("threads", *v);
       } else if (const auto v = sweep::flag_value(arg, "frontier")) {
         flags->frontier = frontier_mode_from_name(*v);
         if (!flags->frontier.has_value()) {
@@ -1155,23 +1154,22 @@ int cmd_fuzz(const FuzzFlags& flags) {
       oracle = timed("oracle", [&] {
         return check_solvability_oracle(*adversary, leg_options);
       });
-      sweep::ShardingOptions finest;
+      ShardingOptions finest;
       finest.chunk_states = 1;
       const struct {
         const char* name;
         SolvabilityResult result;
       } candidates[] = {
-          {"serial FrontierEngine", timed("serial", [&] {
+          {"1 lane", timed("1-lane", [&] {
              return check_solvability(*adversary, leg_options);
            })},
           {"parallel (chunk=1)", timed("parallel-chunk1", [&] {
-             return sweep::parallel_check_solvability(
-                 *adversary, leg_options, pool, {}, finest);
+             return check_solvability(*adversary, leg_options,
+                                      pool.as_parallel_for(), {}, finest);
            })},
           {"parallel (chunk=default)", timed("parallel-default", [&] {
-             return sweep::parallel_check_solvability(
-                 *adversary, leg_options, pool, {},
-                 sweep::ShardingOptions{});
+             return check_solvability(*adversary, leg_options,
+                                      pool.as_parallel_for());
            })},
       };
       for (const auto& candidate : candidates) {
@@ -1216,7 +1214,7 @@ int cmd_fuzz(const FuzzFlags& flags) {
     trace.reset();
     std::cerr << "topocon: wrote trace " << flags.trace_path << "\n";
   }
-  std::cout << "OK: oracle, serial, and parallel checkers agree on every "
+  std::cout << "OK: oracle, 1-lane, and parallel checkers agree on every "
                "point\n";
   return 0;
 }
@@ -1493,7 +1491,7 @@ int cmd_serve(int argc, char** argv) {
       if (const auto v = sweep::flag_value(arg, "socket")) {
         options.socket_path = *v;
       } else if (const auto v = sweep::flag_value(arg, "threads")) {
-        options.num_threads = sweep::parse_int_value("threads", *v);
+        options.num_threads = sweep::parse_threads_value("threads", *v);
       } else if (const auto v = sweep::flag_value(arg, "queue-limit")) {
         const int limit = sweep::parse_int_value("queue-limit", *v);
         if (limit < 0) {
