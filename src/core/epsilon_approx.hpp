@@ -64,27 +64,6 @@ class MetricsRegistry;
 ///    imply solvability) -- quantified in bench E6.
 enum class AdjacencyTopology { kMin, kPView };
 
-/// Pending-view dedup representation of the frontier engine
-/// (core/frontier.hpp). An execution detail exactly like keep_levels and
-/// the chunk size: it is never serialized into query JSON and can never
-/// change any result byte -- forced dense, forced sparse, and the
-/// per-chunk heuristic all produce bit-identical analyses (enforced by
-/// tests/frontier_mode_test.cpp and the --frontier golden lanes).
-enum class FrontierMode {
-  /// Resolve to the process-wide default (set_default_frontier_mode in
-  /// core/frontier.hpp; kAuto unless the CLI overrode it).
-  kDefault,
-  /// Per-chunk GBBS-style heuristic: direct-indexed tables when the
-  /// enumerable key space is small relative to the chunk's emissions,
-  /// open-addressed hashing otherwise.
-  kAuto,
-  /// Always the sparse open-addressed WordSeqIndex path.
-  kSparse,
-  /// Direct-indexed tables whenever the chunk's key space is
-  /// representable under the memory cap (falls back to sparse beyond it).
-  kDense,
-};
-
 struct AnalysisOptions {
   /// Prefix depth t; epsilon = 2^-t.
   int depth = 4;
@@ -99,11 +78,8 @@ struct AnalysisOptions {
   AdjacencyTopology topology = AdjacencyTopology::kMin;
   /// Process set P for kPView (bitmask; must be nonzero in that mode).
   NodeMask pview_set = 0;
-  /// Pending-view dedup representation; like keep_levels an execution
-  /// detail that is never serialized and never changes a result byte.
-  FrontierMode frontier = FrontierMode::kDefault;
   /// Optional per-job telemetry sink (telemetry/metrics.hpp). An
-  /// execution detail like `frontier`: never serialized, never changes a
+  /// execution detail like keep_levels: never serialized, never changes a
   /// result byte; null disables all collection at zero hot-path cost.
   telemetry::MetricsRegistry* metrics = nullptr;
 };

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstring>
 #include <iterator>
-#include <limits>
 #include <unordered_map>
 
 #include "ptg/reach.hpp"
@@ -25,87 +24,9 @@ std::size_t hash_words(const std::uint32_t* words, std::size_t count) {
   return h;
 }
 
-/// Hard cap on one direct-indexed table (entries, i.e. 4 bytes each):
-/// above it even a forced kDense chunk falls back to hashing. Bounds the
-/// per-chunk scratch at 8 MiB per table regardless of the key space.
-constexpr std::uint64_t kDenseSlotCap = std::uint64_t{1} << 21;
-
-/// GBBS-style density threshold for kAuto: a key space is "dense enough"
-/// when it is at most this many times the chunk's expected insertions --
-/// then the O(space) table initialization amortizes against the hashing
-/// it replaces.
-constexpr std::uint64_t kDenseHeadroom = 4;
-
-constexpr std::uint64_t kSpaceOverflow =
-    std::numeric_limits<std::uint64_t>::max();
-
-std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > kSpaceOverflow / b) return kSpaceOverflow;
-  return a * b;
-}
-
-std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
-  return a > kSpaceOverflow - b ? kSpaceOverflow : a + b;
-}
-
-/// Chunk-local open-addressed map from non-negative int32 keys to int32
-/// values, used by the dense expansion path to assign compact digits to
-/// parent view ids. Sized once for a known entry cap; the caller never
-/// inserts more than `max_entries` distinct keys.
-class ScratchMap {
- public:
-  void init(std::size_t max_entries) {
-    std::size_t slots = 16;
-    while (slots < max_entries * 2 + 2) slots <<= 1;
-    keys_.assign(slots, -1);
-    vals_.resize(slots);
-  }
-
-  /// Value of `key`, inserting `fresh` if absent; `*inserted` reports
-  /// which happened.
-  std::int32_t find_or_insert(std::int32_t key, std::int32_t fresh,
-                              bool* inserted) {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t pos =
-        (static_cast<std::uint32_t>(key) * 2654435761u) & mask;
-    while (true) {
-      if (keys_[pos] < 0) {
-        keys_[pos] = key;
-        vals_[pos] = fresh;
-        *inserted = true;
-        return fresh;
-      }
-      if (keys_[pos] == key) {
-        *inserted = false;
-        return vals_[pos];
-      }
-      pos = (pos + 1) & mask;
-    }
-  }
-
- private:
-  std::vector<std::int32_t> keys_;
-  std::vector<std::int32_t> vals_;
-};
-
-std::atomic<int> g_default_frontier_mode{
-    static_cast<int>(FrontierMode::kAuto)};
-
 std::atomic<std::size_t> g_default_chunk_states{0};
 
 }  // namespace
-
-void set_default_frontier_mode(FrontierMode mode) {
-  if (mode == FrontierMode::kDefault) mode = FrontierMode::kAuto;
-  g_default_frontier_mode.store(static_cast<int>(mode),
-                                std::memory_order_relaxed);
-}
-
-FrontierMode default_frontier_mode() {
-  return static_cast<FrontierMode>(
-      g_default_frontier_mode.load(std::memory_order_relaxed));
-}
 
 void set_default_chunk_states(std::size_t chunk_states) {
   g_default_chunk_states.store(chunk_states, std::memory_order_relaxed);
@@ -117,34 +38,17 @@ std::size_t default_chunk_states() {
   return configured > 0 ? configured : kDefaultChunkStates;
 }
 
-std::optional<FrontierMode> frontier_mode_from_name(std::string_view name) {
-  if (name == "auto") return FrontierMode::kAuto;
-  if (name == "dense") return FrontierMode::kDense;
-  if (name == "sparse") return FrontierMode::kSparse;
-  return std::nullopt;
-}
-
-const char* to_string(FrontierMode mode) {
-  switch (mode) {
-    case FrontierMode::kDefault:
-      return "default";
-    case FrontierMode::kAuto:
-      return "auto";
-    case FrontierMode::kSparse:
-      return "sparse";
-    case FrontierMode::kDense:
-      return "dense";
-  }
-  return "?";
-}
-
 int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
                          bool* inserted) {
-  assert(!appended_ && "intern() on a table frozen by append_new()");
   if (slots_.empty()) {
-    slots_.assign(64, -1);
+    // First use, or first use after release_probe_table(): size for the
+    // entries already present without counting a growth rehash.
+    std::size_t slots = 64;
+    while ((entries_.size() + 1) * 10 > slots * 7) slots <<= 1;
+    rehash(slots);
   } else if ((entries_.size() + 1) * 10 > slots_.size() * 7) {
-    grow();
+    ++rehashes_;
+    rehash(slots_.size() * 2);
   }
   const std::size_t hash = hash_words(words, count);
   const std::size_t mask = slots_.size() - 1;
@@ -174,23 +78,12 @@ int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
   }
 }
 
-int WordSeqIndex::append_new(const std::uint32_t* words, std::size_t count) {
-  appended_ = true;
-  const auto id = static_cast<int>(entries_.size());
-  Entry entry;
-  entry.offset = pool_.size();
-  entry.count = static_cast<std::uint32_t>(count);
-  // The probe table is not maintained (see the header contract), so the
-  // hash is never needed; skipping it is the point of the dense path.
-  entry.hash = 0;
-  pool_.insert(pool_.end(), words, words + count);
-  entries_.push_back(entry);
-  return id;
+void WordSeqIndex::release_probe_table() {
+  slots_ = std::vector<int>();
 }
 
-void WordSeqIndex::grow() {
-  ++rehashes_;
-  std::vector<int> next(slots_.size() * 2, -1);
+void WordSeqIndex::rehash(std::size_t slots) {
+  std::vector<int> next(slots, -1);
   const std::size_t mask = next.size() - 1;
   for (std::size_t e = 0; e < entries_.size(); ++e) {
     std::size_t pos = entries_[e].hash & mask;
@@ -206,8 +99,8 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
                                int last_root)
     : adversary_(&adversary), options_(options), interner_(&interner) {
   const int n = adversary.num_processes();
-  // The expansion shape: distinct (receiver, in-mask) pairs across the
-  // whole alphabet, plus the (letter, process) -> pair index table.
+  // The expansion shape: the (letter, process) -> distinct (receiver,
+  // in-mask) pair index table.
   shape_.pair_of.assign(
       static_cast<std::size_t>(adversary.alphabet_size()) *
           static_cast<std::size_t>(n),
@@ -220,11 +113,8 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
       const std::uint64_t key =
           (static_cast<std::uint64_t>(q) << 32) | mask;
       auto [it, fresh] = pair_index.try_emplace(
-          key, static_cast<std::int32_t>(shape_.pairs.size()));
-      if (fresh) {
-        shape_.pairs.push_back(
-            {static_cast<std::uint32_t>(q), mask});
-      }
+          key, static_cast<std::int32_t>(shape_.num_pairs));
+      if (fresh) ++shape_.num_pairs;
       shape_.pair_of[static_cast<std::size_t>(letter) *
                          static_cast<std::size_t>(n) +
                      static_cast<std::size_t>(q)] = it->second;
@@ -233,21 +123,6 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
 
   frontier_ =
       initial_frontier(adversary, options, interner, first_root, last_root);
-  // Distinct level-0 views per process (the roots are few: one class per
-  // input vector of this shard).
-  frontier_distinct_.assign(static_cast<std::size_t>(n), 0);
-  std::vector<ViewId> ids;
-  for (int p = 0; p < n; ++p) {
-    ids.clear();
-    for (const PrefixState& state : frontier_) {
-      ids.push_back(state.views[static_cast<std::size_t>(p)]);
-    }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    frontier_distinct_[static_cast<std::size_t>(p)] =
-        static_cast<std::uint32_t>(ids.size());
-  }
-
   level_sizes_.push_back(frontier_.size());
   if (options_.keep_levels) {
     levels_.push_back(frontier_);
@@ -310,70 +185,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   const std::uint64_t span_start = trace != nullptr ? trace->now_us() : 0;
   std::uint64_t emissions = 0;
 
-  const std::size_t chunk_size = chunk.end - chunk.begin;
-  const std::size_t num_pairs = shape_.pairs.size();
-  FrontierMode mode = options_.frontier;
-  if (mode == FrontierMode::kDefault) mode = default_frontier_mode();
-
-  // ---- Dense planning, O(pairs) arithmetic before any expansion.
-  //
-  // A child-view key is [q, mask, senders...] where the senders are the
-  // PARENT level's interned view ids of the processes in mask. Within
-  // this chunk the sender in digit position p takes at most
-  // U_p = min(|chunk|, distinct views of p in the whole frontier)
-  // values, so the keys of pair (q, mask) enumerate a range of size
-  // prod_{p in mask} U_p once sender ids are remapped to compact
-  // per-process digits, and the whole chunk's key space has size
-  // S_v = sum over distinct pairs of that product -- computable up
-  // front. The chunk goes dense when S_v fits the slot cap and (under
-  // kAuto) is at most kDenseHeadroom times the expected insertions, the
-  // GBBS vertexSubset densification rule transplanted to dedup keys.
-  bool dense_views = false;
-  std::vector<std::uint32_t> radix;      // U_p per process
-  std::vector<std::uint64_t> pair_base;  // dense offset per pair
-  std::uint64_t view_space = 0;
-  if (mode != FrontierMode::kSparse && chunk_size > 0) {
-    radix.resize(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-      radix[static_cast<std::size_t>(p)] =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(
-              chunk_size, frontier_distinct_[static_cast<std::size_t>(p)]));
-    }
-    pair_base.resize(num_pairs);
-    for (std::size_t pr = 0; pr < num_pairs; ++pr) {
-      pair_base[pr] = view_space;
-      std::uint64_t pair_space = 1;
-      NodeMask rest = shape_.pairs[pr].mask;
-      while (rest != 0) {
-        const int p = std::countr_zero(rest);
-        rest &= rest - 1;
-        pair_space = sat_mul(pair_space, radix[static_cast<std::size_t>(p)]);
-      }
-      view_space = sat_add(view_space, pair_space);
-    }
-    // After the per-parent (q, mask) memo below, at most one view
-    // insertion happens per parent and pair.
-    const std::uint64_t expected_views = sat_mul(chunk_size, num_pairs);
-    dense_views = view_space <= kDenseSlotCap &&
-                  (mode == FrontierMode::kDense ||
-                   view_space <= sat_mul(kDenseHeadroom, expected_views));
-  }
-
-  // ---- Per-chunk scratch.
-  std::vector<std::int32_t> dense_view_slot;
-  if (dense_views) {
-    dense_view_slot.assign(static_cast<std::size_t>(view_space), -1);
-  }
-  ScratchMap view_remap;  // parent view id -> compact per-process digit
-  std::vector<std::uint32_t> digits(static_cast<std::size_t>(n), 0);
-  std::vector<std::int32_t> next_digit(static_cast<std::size_t>(n), 0);
-  if (dense_views) {
-    std::size_t digit_cap = 0;
-    for (int p = 0; p < n; ++p) {
-      digit_cap += radix[static_cast<std::size_t>(p)];
-    }
-    view_remap.init(digit_cap);
-  }
+  const std::size_t num_pairs = shape_.num_pairs;
   // The per-parent (q, mask) memo: for a fixed parent, the child view of
   // process q depends only on its expansion-shape pair, so each pair is
   // resolved at most once per parent no matter how many letters share
@@ -423,17 +235,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
     }
     const PrefixState& parent = frontier_[i];
     const auto epoch = static_cast<std::uint32_t>(i - chunk.begin) + 1;
-    if (dense_views) {
-      for (int p = 0; p < n; ++p) {
-        bool fresh;
-        const std::int32_t d = view_remap.find_or_insert(
-            parent.views[static_cast<std::size_t>(p)],
-            next_digit[static_cast<std::size_t>(p)], &fresh);
-        if (fresh) ++next_digit[static_cast<std::size_t>(p)];
-        digits[static_cast<std::size_t>(p)] =
-            static_cast<std::uint32_t>(d);
-      }
-    }
     for (int letter = 0; letter < alphabet; ++letter) {
       const AdvState adv_next = adversary.transition(parent.adv_state, letter);
       if (adv_next == kRejectState) continue;
@@ -447,31 +248,11 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
         if (memo_epoch[pair] == epoch) {
           view_index = memo_val[pair];
         } else {
-          const NodeMask mask = g.in_mask(static_cast<ProcessId>(q));
-          if (dense_views) {
-            std::uint64_t local = 0;
-            NodeMask rest = mask;
-            while (rest != 0) {
-              const int p = std::countr_zero(rest);
-              rest &= rest - 1;
-              local = local * radix[static_cast<std::size_t>(p)] +
-                      digits[static_cast<std::size_t>(p)];
-            }
-            const std::size_t addr =
-                static_cast<std::size_t>(pair_base[pair] + local);
-            view_index = dense_view_slot[addr];
-            if (view_index < 0) {
-              pack_view_key(static_cast<std::uint32_t>(q), mask, parent);
-              view_index =
-                  out.views.append_new(view_key.data(), view_key.size());
-              dense_view_slot[addr] = view_index;
-            }
-          } else {
-            pack_view_key(static_cast<std::uint32_t>(q), mask, parent);
-            bool view_inserted;
-            view_index = out.views.intern(view_key.data(), view_key.size(),
-                                          &view_inserted);
-          }
+          pack_view_key(static_cast<std::uint32_t>(q),
+                        g.in_mask(static_cast<ProcessId>(q)), parent);
+          bool view_inserted;
+          view_index = out.views.intern(view_key.data(), view_key.size(),
+                                        &view_inserted);
           memo_val[pair] = view_index;
           memo_epoch[pair] = epoch;
         }
@@ -500,10 +281,10 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
     out.overflow = true;
   }
   out.stats.chunks = 1;
-  out.stats.dense_view_chunks = dense_views ? 1 : 0;
   out.stats.emissions = emissions;
   out.stats.pending_views = out.views.size();
   out.stats.rehashes = out.views.rehashes();
+  out.views.release_probe_table();
   if (trace != nullptr) {
     trace->complete(
         "chunk", "expand", span_start, trace->now_us() - span_start,
@@ -514,8 +295,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                                   static_cast<std::uint64_t>(level_) + 1),
          telemetry::TraceArg::num("begin", chunk.begin),
          telemetry::TraceArg::num("end", chunk.end),
-         telemetry::TraceArg::num("states", out.states.size()),
-         telemetry::TraceArg::num("dense", dense_views ? 1 : 0)});
+         telemetry::TraceArg::num("states", out.states.size())});
   }
   return out;
 }
@@ -575,6 +355,7 @@ PendingFrontier FrontierEngine::merge(
   // The distinct view tally becomes the merged table's size.
   level.stats.pending_views = level.views.size();
   level.stats.rehashes += level.views.rehashes();
+  level.views.release_probe_table();
   return level;
 }
 
@@ -633,14 +414,6 @@ void FrontierEngine::commit(PendingFrontier level) {
     parents.emplace_back(state.parent, state.letter);
   }
   frontier_ = std::move(next);
-  // level.views holds exactly the distinct views of the new frontier
-  // (every entry was part of some committed state's key), so the
-  // per-process tally feeding the dense heuristic is one scan of it.
-  frontier_distinct_.assign(static_cast<std::size_t>(n), 0);
-  for (std::size_t v = 0; v < level.views.size(); ++v) {
-    ++frontier_distinct_[get_bits(level.views.words_of(static_cast<int>(v)),
-                                  0, codec.q_bits)];
-  }
   ++level_;
   level_sizes_.push_back(frontier_.size());
   if (options_.keep_levels) {

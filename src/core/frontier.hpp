@@ -48,8 +48,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,24 +64,12 @@ struct FrontierChunk {
   std::size_t end = 0;
 };
 
-/// Process-wide default for AnalysisOptions::frontier == kDefault: set
-/// from the CLI (`topocon --frontier=MODE`, `--sweep-frontier=MODE`).
-/// The initial value resolves to kAuto. Like set_default_chunk_states an
-/// execution knob only -- results are identical for every mode.
-void set_default_frontier_mode(FrontierMode mode);
-FrontierMode default_frontier_mode();
-
 /// Process-wide default for ShardingOptions::chunk_states == 0: set from
 /// the CLI (`topocon --chunk=N`); 0 (the initial value) resolves to the
 /// built-in kDefaultChunkStates.
 inline constexpr std::size_t kDefaultChunkStates = 4096;
 void set_default_chunk_states(std::size_t chunk_states);
 std::size_t default_chunk_states();
-
-/// Parses "auto" / "dense" / "sparse" (the `--frontier=` spellings);
-/// nullopt for anything else.
-std::optional<FrontierMode> frontier_mode_from_name(std::string_view name);
-const char* to_string(FrontierMode mode);
 
 /// Fixed-width bit layout of the engine's pending view keys, derived
 /// once per level from quantities that are constant while that level
@@ -141,13 +127,12 @@ class WordSeqIndex {
   /// `*inserted` reports which happened.
   int intern(const std::uint32_t* words, std::size_t count, bool* inserted);
 
-  /// Appends the key as a NEW entry without consulting or maintaining
-  /// the probe table: the dense expansion path has already proved
-  /// uniqueness through its direct-indexed table. A table touched by
-  /// append_new becomes read-only for dedup -- intern() must not be
-  /// called on it afterwards (merge() and commit() only read entries,
-  /// which is all the engine ever does with an expanded chunk).
-  int append_new(const std::uint32_t* words, std::size_t count);
+  /// Frees the probe table and keeps the entries: size(), words_of() and
+  /// count_of() are unchanged, and a later intern() rebuilds the table
+  /// from the cached hashes. expand() and merge() call it on the table
+  /// they return, so a finished slice holds its keys and nothing more
+  /// while it waits for merge() or commit(), which only read entries.
+  void release_probe_table();
 
   std::size_t size() const { return entries_.size(); }
   /// Probe-table growth rehashes performed so far (telemetry).
@@ -165,14 +150,14 @@ class WordSeqIndex {
     std::uint32_t count = 0;
     std::size_t hash = 0;
   };
-  void grow();
+  /// Re-inserts every entry into a fresh probe table of `slots` slots.
+  void rehash(std::size_t slots);
 
   std::vector<std::uint32_t> pool_;
   std::vector<Entry> entries_;
-  /// Power-of-two probe table of entry indices; -1 = empty.
+  /// Power-of-two probe table of entry indices; -1 = empty. Empty also
+  /// after release_probe_table().
   std::vector<int> slots_;
-  /// True once append_new bypassed the probe table (see its contract).
-  bool appended_ = false;
   std::uint64_t rehashes_ = 0;
 };
 
@@ -262,13 +247,10 @@ class FrontierEngine {
   /// `budget` is given the chunk reports its growth there and aborts
   /// (overflow set) once the shared total trips.
   ///
-  /// The view dedup representation is chosen per chunk by
-  /// options.frontier (kAuto by default): when the enumerable child-view
-  /// key space -- at most sum over the distinct (process, in-mask) pairs
-  /// of the product of the per-process sender-id bounds -- is small, the
-  /// chunk dedups through a direct-indexed table instead of hashing.
-  /// Keys, indices, and entry order are identical either way, so the
-  /// choice (like the chunk size) can never change a result byte.
+  /// Pending views are deduplicated through the chunk's WordSeqIndex,
+  /// one lookup per parent and distinct (process, in-mask) pair (the
+  /// ExpansionShape memo). The returned slice's probe table is already
+  /// released: only its entries live on until merge().
   ///
   /// `depth` is the target depth of the analysis pass this level belongs
   /// to, the `depth` arg of the chunk's trace span. An engine advanced
@@ -324,15 +306,11 @@ class FrontierEngine {
   /// The adversary's per-round expansion shape, fixed at construction:
   /// the distinct (receiver, in-mask) pairs over all (letter, process)
   /// combinations. A parent's child view for process q depends only on
-  /// its pair, so `pairs` bounds both the per-parent view-intern work
-  /// (the expand memo) and the dense key-space enumeration.
+  /// its pair, so `num_pairs` bounds the per-parent view-intern work (the
+  /// expand memo).
   struct ExpansionShape {
-    struct Pair {
-      std::uint32_t q = 0;
-      NodeMask mask = 0;
-    };
-    std::vector<Pair> pairs;
-    /// [letter * n + q] -> index into pairs.
+    std::size_t num_pairs = 0;
+    /// [letter * n + q] -> index of its distinct pair, < num_pairs.
     std::vector<std::int32_t> pair_of;
   };
 
@@ -345,10 +323,6 @@ class FrontierEngine {
   AnalysisOptions options_;
   ViewInterner* interner_;
   ExpansionShape shape_;
-  /// Distinct interned views per process in the current frontier,
-  /// maintained by the constructor and commit(); the per-chunk dense
-  /// heuristic bounds sender-id digits with min(chunk size, this).
-  std::vector<std::uint32_t> frontier_distinct_;
   std::vector<PrefixState> frontier_;
   int level_ = 0;
   std::vector<std::size_t> level_sizes_;

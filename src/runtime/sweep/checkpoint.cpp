@@ -61,7 +61,6 @@ telemetry::TelemetryCounters telemetry_from_json(const JsonValue& value) {
   counters.pending_views = value.at("pending_views").as_uint();
   counters.views_interned = value.at("views_interned").as_uint();
   counters.chunks_expanded = value.at("chunks_expanded").as_uint();
-  counters.dense_view_chunks = value.at("dense_view_chunks").as_uint();
   counters.wordseq_rehashes = value.at("wordseq_rehashes").as_uint();
   counters.levels_committed = value.at("levels_committed").as_uint();
   counters.budget_early_aborts = value.at("budget_early_aborts").as_uint();

@@ -29,7 +29,6 @@ void write_telemetry_counters(JsonWriter& writer,
   writer.member("pending_views", counters.pending_views);
   writer.member("views_interned", counters.views_interned);
   writer.member("chunks_expanded", counters.chunks_expanded);
-  writer.member("dense_view_chunks", counters.dense_view_chunks);
   writer.member("wordseq_rehashes", counters.wordseq_rehashes);
   writer.member("levels_committed", counters.levels_committed);
   writer.member("budget_early_aborts", counters.budget_early_aborts);

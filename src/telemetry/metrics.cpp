@@ -6,7 +6,6 @@ namespace topocon::telemetry {
 
 void PendingStats::add(const PendingStats& other) {
   chunks += other.chunks;
-  dense_view_chunks += other.dense_view_chunks;
   emissions += other.emissions;
   pending_views += other.pending_views;
   rehashes += other.rehashes;
@@ -16,8 +15,6 @@ void MetricsRegistry::add_pending(const PendingStats& stats) {
   states_expanded_.fetch_add(stats.emissions, std::memory_order_relaxed);
   pending_views_.fetch_add(stats.pending_views, std::memory_order_relaxed);
   chunks_expanded_.fetch_add(stats.chunks, std::memory_order_relaxed);
-  dense_view_chunks_.fetch_add(stats.dense_view_chunks,
-                               std::memory_order_relaxed);
   wordseq_rehashes_.fetch_add(stats.rehashes, std::memory_order_relaxed);
 }
 
@@ -58,8 +55,6 @@ JobTelemetry MetricsRegistry::snapshot() const {
       views_interned_.load(std::memory_order_relaxed);
   out.counters.chunks_expanded =
       chunks_expanded_.load(std::memory_order_relaxed);
-  out.counters.dense_view_chunks =
-      dense_view_chunks_.load(std::memory_order_relaxed);
   out.counters.wordseq_rehashes =
       wordseq_rehashes_.load(std::memory_order_relaxed);
   out.counters.levels_committed =

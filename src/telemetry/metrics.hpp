@@ -5,9 +5,8 @@
 // for COMMITTED frontier levels (FrontierEngine::commit is the single
 // flush point; a truncated level contributes exactly one
 // budget_early_aborts tick and nothing else), so the counts are identical
-// across thread counts. They DO depend on the execution shape
-// (--chunk, --frontier): a different chunk partition dedups views at
-// different boundaries and plans dense/sparse per chunk. Timings
+// across thread counts. They DO depend on the chunk size (--chunk): a
+// different chunk partition dedups views at different boundaries. Timings
 // (LevelTiming::seconds, JobTelemetry::wall_seconds) are wall clock and
 // never deterministic; the JSON "telemetry" section embeds counters only.
 //
@@ -30,7 +29,6 @@ class TraceWriter;
 /// the job's MetricsRegistry.
 struct PendingStats {
   std::uint64_t chunks = 0;             ///< chunk expansions folded in
-  std::uint64_t dense_view_chunks = 0;  ///< chunks planned dense for views
   std::uint64_t emissions = 0;          ///< (parent, letter) child emissions
   std::uint64_t pending_views = 0;      ///< distinct uninterned views
   std::uint64_t rehashes = 0;           ///< WordSeqIndex growth rehashes
@@ -39,15 +37,14 @@ struct PendingStats {
 };
 
 /// Monotonic per-job counters. All values are deterministic for a fixed
-/// query + chunk size + frontier mode, at any thread count.
+/// query and chunk size, at any thread count.
 struct TelemetryCounters {
   std::uint64_t states_expanded = 0;     ///< child emissions scanned
   std::uint64_t states_committed = 0;    ///< states surviving into levels
   std::uint64_t pending_views = 0;       ///< distinct views before interning
   std::uint64_t views_interned = 0;      ///< ViewInterner growth
   std::uint64_t chunks_expanded = 0;     ///< chunk expansions committed
-  std::uint64_t dense_view_chunks = 0;   ///< chunks on the dense view path
-  std::uint64_t wordseq_rehashes = 0;    ///< sparse-table growth rehashes
+  std::uint64_t wordseq_rehashes = 0;    ///< WordSeqIndex growth rehashes
   std::uint64_t levels_committed = 0;    ///< committed (root-set, level) steps
   std::uint64_t budget_early_aborts = 0; ///< levels truncated by max_states
   std::uint64_t frontier_high_water = 0; ///< largest committed frontier
@@ -114,7 +111,6 @@ class MetricsRegistry {
   std::atomic<std::uint64_t> pending_views_{0};
   std::atomic<std::uint64_t> views_interned_{0};
   std::atomic<std::uint64_t> chunks_expanded_{0};
-  std::atomic<std::uint64_t> dense_view_chunks_{0};
   std::atomic<std::uint64_t> wordseq_rehashes_{0};
   std::atomic<std::uint64_t> levels_committed_{0};
   std::atomic<std::uint64_t> budget_early_aborts_{0};

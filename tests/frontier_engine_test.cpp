@@ -3,6 +3,7 @@
 // (expand_frontier) state for state at EVERY chunk size -- including the
 // interner's id assignment order -- plus partition determinism, budget
 // early-abort semantics, and the WordSeqIndex dedup table.
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <memory>
@@ -165,24 +166,40 @@ TEST(WordSeqIndex, DuplicateInsertsKeepOneEntry) {
   EXPECT_EQ(index.size(), 1u);
 }
 
-TEST(WordSeqIndex, AppendNewExtendsTheEntryListInOrder) {
-  // append_new is the dense expansion path's bulk append: the caller
-  // already proved the key fresh, so the entry bypasses the probe table
-  // but must round-trip through words_of/count_of like any other.
+TEST(WordSeqIndex, EntriesSurviveReleasingTheProbeTable) {
+  // expand() and merge() release the probe table of the slice they
+  // return; merge() and commit() then read only size/words_of/count_of.
+  // Keys of varying length, past one growth rehash.
   WordSeqIndex index;
   bool inserted = false;
-  const std::uint32_t first[] = {1, 2};
-  ASSERT_EQ(index.intern(first, 2, &inserted), 0);
-  const std::uint32_t second[] = {3, 4, 5};
-  EXPECT_EQ(index.append_new(second, 3), 1);
-  const std::uint32_t third[] = {6};
-  EXPECT_EQ(index.append_new(third, 1), 2);
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.count_of(1), 3u);
-  EXPECT_EQ(index.words_of(1)[2], 5u);
-  EXPECT_EQ(index.count_of(2), 1u);
-  EXPECT_EQ(index.words_of(2)[0], 6u);
-  EXPECT_EQ(index.words_of(0)[0], 1u);  // pre-append entries untouched
+  std::vector<std::vector<std::uint32_t>> keys;
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    keys.push_back(std::vector<std::uint32_t>(1 + i % 3, i));
+    keys.back().back() += 1000;
+    ASSERT_EQ(index.intern(keys.back().data(), keys.back().size(),
+                           &inserted),
+              static_cast<int>(i));
+  }
+  const std::uint64_t rehashes = index.rehashes();
+  ASSERT_GT(rehashes, 0u);
+
+  index.release_probe_table();
+  ASSERT_EQ(index.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const int id = static_cast<int>(i);
+    ASSERT_EQ(index.count_of(id), keys[i].size());
+    EXPECT_TRUE(std::equal(keys[i].begin(), keys[i].end(),
+                           index.words_of(id)));
+  }
+
+  // A later intern() rebuilds the table from the entries: old keys keep
+  // their ids, a new key appends, and the rebuild is no growth rehash.
+  EXPECT_EQ(index.intern(keys[7].data(), keys[7].size(), &inserted), 7);
+  EXPECT_FALSE(inserted);
+  const std::uint32_t fresh[] = {9, 9, 9, 9};
+  EXPECT_EQ(index.intern(fresh, 4, &inserted), 50);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(index.rehashes(), rehashes);
 }
 
 TEST(FrontierEngine, MatchesReferenceExpansionLevelByLevel) {

@@ -44,7 +44,6 @@ TEST(Telemetry, RegistryAggregatesConcurrentFlushes) {
       for (int i = 0; i < kFlushes; ++i) {
         PendingStats stats;
         stats.chunks = 1;
-        stats.dense_view_chunks = 1;
         stats.emissions = 10;
         stats.pending_views = 3;
         stats.rehashes = 1;
@@ -64,7 +63,6 @@ TEST(Telemetry, RegistryAggregatesConcurrentFlushes) {
   EXPECT_EQ(counters.pending_views, 3 * kTotal);
   EXPECT_EQ(counters.views_interned, 3 * kTotal);
   EXPECT_EQ(counters.chunks_expanded, kTotal);
-  EXPECT_EQ(counters.dense_view_chunks, kTotal);
   EXPECT_EQ(counters.wordseq_rehashes, kTotal);
   EXPECT_EQ(counters.budget_early_aborts, 1u);
   EXPECT_EQ(counters.frontier_high_water, kTotal - 1);

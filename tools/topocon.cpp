@@ -3,15 +3,15 @@
 //
 //   topocon list
 //   topocon describe SCENARIO
-//   topocon run SCENARIO [--threads=N] [--chunk=N] [--frontier=MODE]
-//                        [--json=PATH] [--format=table|csv]
+//   topocon run SCENARIO [--threads=N] [--chunk=N] [--json=PATH]
+//                        [--format=table|csv]
 //                        [--n=N] [--param-min=V] [--param-max=V]
 //                        [--seed=N] [--count=N]
 //                        [--metrics] [--trace=PATH] [--telemetry-json]
-//   topocon resume PATH [--threads=N] [--chunk=N] [--frontier=MODE]
-//                       [--format=table|csv] [--metrics] [--trace=PATH]
+//   topocon resume PATH [--threads=N] [--chunk=N] [--format=table|csv]
+//                       [--metrics] [--trace=PATH]
 //   topocon fuzz [--seed=N] [--count=N] [--n=N] [--depth=N] [--threads=N]
-//                [--frontier=MODE] [--trace=PATH]
+//                [--trace=PATH]
 //   topocon bench [BINARY...] [--bench-dir=PATH] [--filter=REGEX]
 //                 [--repetitions=N] [--json=PATH]
 //                 [--compare=BASELINE] [--input=RESULTS]
@@ -137,13 +137,6 @@ int usage(std::ostream& out, int code) {
          "                            4096; like --threads an execution "
          "detail --\n"
          "                            results are identical for every N)\n"
-         "  --frontier=MODE           dedup-table representation: auto "
-         "(default,\n"
-         "                            per-chunk heuristic), dense, or "
-         "sparse; an\n"
-         "                            execution detail -- results are "
-         "identical\n"
-         "                            for every mode\n"
          "  --json=PATH               checkpoint to PATH while running, "
          "then finalize\n"
          "                            it as a topocon-sweep-v1 document\n"
@@ -195,10 +188,6 @@ int usage(std::ostream& out, int code) {
          "(default 2)\n"
          "  --threads=N               pool size for the parallel checker "
          "legs\n"
-         "  --frontier=MODE           dedup-table representation for every "
-         "checker\n"
-         "                            leg (auto|dense|sparse, default "
-         "auto)\n"
          "  --trace=PATH              write a Chrome-trace span file of "
          "every\n"
          "                            checker leg\n"
@@ -261,7 +250,6 @@ enum class Format { kTable, kCsv };
 struct RunFlags {
   int threads = 0;
   int chunk = 0;  // 0 = default_chunk_states()
-  std::optional<FrontierMode> frontier;
   std::string json_path;
   Format format = Format::kTable;
   scenario::GridOverrides overrides;
@@ -283,14 +271,6 @@ bool parse_flags(int argc, char** argv, int first, RunFlags* flags) {
         flags->chunk = sweep::parse_int_value("chunk", *v);
         if (flags->chunk <= 0) {
           std::cerr << "topocon: --chunk must be >= 1\n";
-          return false;
-        }
-      } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        flags->frontier = frontier_mode_from_name(*v);
-        if (!flags->frontier.has_value()) {
-          std::cerr << "topocon: --frontier expects 'auto', 'dense', or "
-                       "'sparse', got '"
-                    << *v << "'\n";
           return false;
         }
       } else if (const auto v = sweep::flag_value(arg, "json")) {
@@ -781,9 +761,6 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
   if (flags.chunk > 0) {
     set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
   }
-  if (flags.frontier.has_value()) {
-    set_default_frontier_mode(*flags.frontier);
-  }
   std::ofstream trace_out;
   std::optional<telemetry::TraceWriter> trace;
   if (!open_trace(flags.trace_path, &trace_out, &trace)) return 1;
@@ -971,9 +948,6 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
   if (flags.chunk > 0) {
     set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
   }
-  if (flags.frontier.has_value()) {
-    set_default_frontier_mode(*flags.frontier);
-  }
   // The document shape travels with the checkpoint (make_header), not the
   // command line: a --telemetry-json run resumes with telemetry sections
   // automatically, and stays byte-identical to an uninterrupted run.
@@ -1012,7 +986,6 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
 struct FuzzFlags {
   scenario::FuzzSpec spec;
   int threads = 0;
-  std::optional<FrontierMode> frontier;
   std::string trace_path;
 };
 
@@ -1030,14 +1003,6 @@ bool parse_fuzz_flags(int argc, char** argv, FuzzFlags* flags) {
         flags->spec.depth = sweep::parse_int_value("depth", *v);
       } else if (const auto v = sweep::flag_value(arg, "threads")) {
         flags->threads = sweep::parse_threads_value("threads", *v);
-      } else if (const auto v = sweep::flag_value(arg, "frontier")) {
-        flags->frontier = frontier_mode_from_name(*v);
-        if (!flags->frontier.has_value()) {
-          std::cerr << "topocon: --frontier expects 'auto', 'dense', or "
-                       "'sparse', got '"
-                    << *v << "'\n";
-          return false;
-        }
       } else if (const auto v = sweep::flag_value(arg, "trace")) {
         if (v->empty()) {
           std::cerr << "topocon: --trace needs a non-empty path\n";
@@ -1096,9 +1061,6 @@ std::string describe_divergence(const SolvabilityResult& oracle,
 /// file comment). Exit 0 = every point agrees, 1 = divergence or a point
 /// failed to build, 2 = usage error.
 int cmd_fuzz(const FuzzFlags& flags) {
-  if (flags.frontier.has_value()) {
-    set_default_frontier_mode(*flags.frontier);
-  }
   std::vector<FamilyPoint> points;
   try {
     points = scenario::fuzz_points(flags.spec);
@@ -1709,7 +1671,7 @@ int main(int argc, char** argv) {
         flags.overrides.seed.has_value() ||
         flags.overrides.count.has_value()) {
       std::cerr << "topocon: resume takes the checkpoint PATH plus "
-                   "--threads/--chunk/--frontier/--format/--metrics/"
+                   "--threads/--chunk/--format/--metrics/"
                    "--trace/--fail-after only (--telemetry-json travels "
                    "with the checkpoint)\n";
       return 2;
