@@ -7,7 +7,6 @@
 #include <iterator>
 #include <unordered_map>
 
-#include "ptg/reach.hpp"
 #include "telemetry/trace.hpp"
 
 namespace topocon {
@@ -121,13 +120,12 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
     }
   }
 
-  frontier_ =
-      initial_frontier(adversary, options, interner, first_root, last_root);
-  level_sizes_.push_back(frontier_.size());
+  levels_.push_back(
+      initial_frontier(adversary, options, interner, first_root, last_root));
+  level_sizes_.push_back(frontier().size());
   if (options_.keep_levels) {
-    levels_.push_back(frontier_);
     first_parent_.push_back(
-        std::vector<std::pair<int, int>>(frontier_.size(), {-1, -1}));
+        std::vector<std::pair<int, int>>(frontier().size(), {-1, -1}));
   }
 }
 
@@ -151,7 +149,7 @@ KeyCodec FrontierEngine::level_codec() const {
 
 std::vector<FrontierChunk> FrontierEngine::partition(
     std::size_t chunk_states) const {
-  const std::size_t size = frontier_.size();
+  const std::size_t size = frontier().size();
   if (chunk_states == 0 || size <= chunk_states) {
     return {FrontierChunk{0, size}};
   }
@@ -167,7 +165,8 @@ std::vector<FrontierChunk> FrontierEngine::partition(
 PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                                        FrontierBudget* budget,
                                        int depth) const {
-  assert(chunk.begin <= chunk.end && chunk.end <= frontier_.size());
+  const std::vector<PrefixState>& frontier = this->frontier();
+  assert(chunk.begin <= chunk.end && chunk.end <= frontier.size());
   const MessageAdversary& adversary = *adversary_;
   const int n = adversary.num_processes();
   const int alphabet = adversary.alphabet_size();
@@ -233,13 +232,22 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
       }
       reported = out.states.size();
     }
-    const PrefixState& parent = frontier_[i];
+    const PrefixState& parent = frontier[i];
     const auto epoch = static_cast<std::uint32_t>(i - chunk.begin) + 1;
     for (int letter = 0; letter < alphabet; ++letter) {
       const AdvState adv_next = adversary.transition(parent.adv_state, letter);
       if (adv_next == kRejectState) continue;
       const Digraph& g = adversary.graph(letter);
       for (int q = 0; q < n; ++q) {
+        // The child's reach mask of q: the union of its senders' parent
+        // masks (ptg/reach.hpp's advance_reach, written in place).
+        const NodeMask in_mask = g.in_mask(static_cast<ProcessId>(q));
+        NodeMask reach = 0;
+        for (NodeMask rest = in_mask; rest != 0; rest &= rest - 1) {
+          reach |= parent.reach[static_cast<std::size_t>(
+              std::countr_zero(rest))];
+        }
+        out.state_reach.push_back(reach);
         const auto pair = static_cast<std::size_t>(
             shape_.pair_of[static_cast<std::size_t>(letter) *
                                static_cast<std::size_t>(n) +
@@ -248,8 +256,7 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
         if (memo_epoch[pair] == epoch) {
           view_index = memo_val[pair];
         } else {
-          pack_view_key(static_cast<std::uint32_t>(q),
-                        g.in_mask(static_cast<ProcessId>(q)), parent);
+          pack_view_key(static_cast<std::uint32_t>(q), in_mask, parent);
           bool view_inserted;
           view_index = out.views.intern(view_key.data(), view_key.size(),
                                         &view_inserted);
@@ -259,13 +266,8 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
         out.state_views.push_back(static_cast<std::uint32_t>(view_index));
       }
       ++emissions;
-      PendingState state;
-      state.inputs = parent.inputs;
-      state.reach = advance_reach(parent.reach, g);
-      state.adv_state = adv_next;
-      state.parent = static_cast<int>(i);
-      state.letter = letter;
-      out.states.push_back(std::move(state));
+      out.states.push_back(
+          PendingState{adv_next, static_cast<int>(i), letter});
       if (options_.keep_levels) {
         out.children[i - chunk.begin].push_back(
             static_cast<int>(out.states.size()) - 1);
@@ -316,8 +318,8 @@ PendingFrontier FrontierEngine::merge(
   }
 
   PendingFrontier level;
-  level.chunk = FrontierChunk{0, frontier_.size()};
-  if (options_.keep_levels) level.children.resize(frontier_.size());
+  level.chunk = FrontierChunk{0, frontier().size()};
+  if (options_.keep_levels) level.children.resize(frontier().size());
   std::vector<std::uint32_t> view_remap;
   for (PendingFrontier& chunk : chunks) {
     level.stats.add(chunk.stats);
@@ -336,6 +338,9 @@ PendingFrontier FrontierEngine::merge(
     for (const std::uint32_t v : chunk.state_views) {
       level.state_views.push_back(view_remap[v]);
     }
+    level.state_reach.insert(level.state_reach.end(),
+                             chunk.state_reach.begin(),
+                             chunk.state_reach.end());
     std::move(chunk.states.begin(), chunk.states.end(),
               std::back_inserter(level.states));
     if (level.states.size() > options_.max_states) {
@@ -368,26 +373,38 @@ void FrontierEngine::commit(PendingFrontier level) {
   // possibly from different pool threads across levels.
   interner_->attach_to_current_thread();
   const std::size_t views_before = interner_->size();
-  const int n = adversary_->num_processes();
-  std::vector<PrefixState> next;
-  next.reserve(level.states.size());
+  const auto n = static_cast<std::size_t>(adversary_->num_processes());
+  const std::vector<PrefixState>& parents_level = frontier();
+  // The states first, before any view is interned: each state's three
+  // blocks are allocated back to back in level order, not interleaved
+  // with the interner's, so every later pass over the level (assembly,
+  // components, release) walks memory in order.
+  std::vector<PrefixState> next(level.states.size());
   std::vector<std::pair<int, int>> parents;
-  parents.reserve(level.states.size());
+  if (options_.keep_levels) parents.reserve(level.states.size());
+  for (std::size_t s = 0; s < level.states.size(); ++s) {
+    const PendingState& state = level.states[s];
+    const NodeMask* state_reach = level.state_reach.data() + s * n;
+    PrefixState& out = next[s];
+    out.inputs =
+        parents_level[static_cast<std::size_t>(state.parent)].inputs;
+    out.reach.assign(state_reach, state_reach + n);
+    out.adv_state = state.adv_state;
+    out.views.resize(n);
+    if (options_.keep_levels) parents.emplace_back(state.parent, state.letter);
+  }
+  // Only the view columns are read from here on.
+  level.states = std::vector<PendingState>();
+  level.state_reach = std::vector<NodeMask>();
   // Each distinct pending view is interned exactly once, on first use;
   // states are walked in merged (= serial discovery) order and views in
   // process order, so ids are assigned in the serial scan's order.
   std::vector<ViewId> resolved(level.views.size(), -1);
   std::vector<ViewId> senders;
-  for (std::size_t s = 0; s < level.states.size(); ++s) {
-    PendingState& state = level.states[s];
-    const std::uint32_t* state_views =
-        level.state_views.data() + s * static_cast<std::size_t>(n);
-    PrefixState out;
-    out.inputs = std::move(state.inputs);
-    out.reach = std::move(state.reach);
-    out.adv_state = state.adv_state;
-    out.views.resize(static_cast<std::size_t>(n));
-    for (int q = 0; q < n; ++q) {
+  for (std::size_t s = 0; s < next.size(); ++s) {
+    const std::uint32_t* state_views = level.state_views.data() + s * n;
+    std::vector<ViewId>& views = next[s].views;
+    for (std::size_t q = 0; q < n; ++q) {
       ViewId& id = resolved[state_views[q]];
       if (id < 0) {
         const std::uint32_t* words =
@@ -408,25 +425,24 @@ void FrontierEngine::commit(PendingFrontier level) {
         }
         id = interner_->step(static_cast<ProcessId>(recv), in_mask, senders);
       }
-      out.views[static_cast<std::size_t>(q)] = id;
+      views[q] = id;
     }
-    next.push_back(std::move(out));
-    parents.emplace_back(state.parent, state.letter);
   }
-  frontier_ = std::move(next);
   ++level_;
-  level_sizes_.push_back(frontier_.size());
+  level_sizes_.push_back(next.size());
   if (options_.keep_levels) {
+    levels_.push_back(std::move(next));
     children_.push_back(std::move(level.children));
-    levels_.push_back(frontier_);
     first_parent_.push_back(std::move(parents));
+  } else {
+    levels_.back() = std::move(next);
   }
   // The single counter-flush point: only committed levels reach it, so
   // every count is identical at any thread count (see telemetry/metrics).
   if (options_.metrics != nullptr) {
     options_.metrics->add_pending(level.stats);
-    options_.metrics->add_commit(frontier_.size(), interner_->size() -
-                                                       views_before);
+    options_.metrics->add_commit(frontier().size(), interner_->size() -
+                                                        views_before);
   }
 }
 

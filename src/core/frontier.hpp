@@ -161,11 +161,11 @@ class WordSeqIndex {
   std::uint64_t rehashes_ = 0;
 };
 
-/// Per-state metadata of a pending (not yet interned) level; the view
-/// data lives in the PendingFrontier tables.
+/// Per-state metadata of a pending (not yet interned) level: no heap
+/// member, so an emission allocates nothing of its own. The views and
+/// reach masks live in flat PendingFrontier columns, and commit() copies
+/// the inputs from the parent (a child's inputs are its root's).
 struct PendingState {
-  InputVector inputs;
-  ReachVector reach;
   AdvState adv_state = 0;
   /// Frontier index and letter of the emission.
   int parent = -1;
@@ -186,6 +186,9 @@ struct PendingFrontier {
   /// The states' view indices, n per state: process q's view in state s
   /// is entry state_views[s * n + q] of `views`.
   std::vector<std::uint32_t> state_views;
+  /// The states' reach masks, n per state like state_views: process q's
+  /// mask in state s is state_reach[s * n + q].
+  std::vector<NodeMask> state_reach;
   /// children[i - chunk.begin] = local child indices of frontier parent
   /// i, in discovery order; filled only under keep_levels.
   std::vector<std::vector<int>> children;
@@ -235,7 +238,9 @@ class FrontierEngine {
 
   /// Depth expanded so far (0 right after construction).
   int level() const { return level_; }
-  const std::vector<PrefixState>& frontier() const { return frontier_; }
+  /// The current level. It is the last entry of levels(), not a copy of
+  /// it: every committed level exists once. Invalid after take_levels().
+  const std::vector<PrefixState>& frontier() const { return levels_.back(); }
 
   /// Deterministic partition of the current frontier into chunks of at
   /// most `chunk_states` parents (0 = one chunk). Never empty: an empty
@@ -269,16 +274,21 @@ class FrontierEngine {
 
   /// Interns the pending views (each distinct view once, in first-use
   /// order -- the id assignment order of a serial scan) and installs the
-  /// level as the new frontier. Must not be called with an overflowed
-  /// level. Re-binds the interner to the calling thread (sequential
-  /// hand-off); at most one commit per engine may run at a time.
+  /// level as the new frontier; the inputs come from the parent states.
+  /// Without keep_levels the new level replaces the old one. Must not be
+  /// called with an overflowed level. Re-binds the interner to the
+  /// calling thread (sequential hand-off); at most one commit per engine
+  /// may run at a time.
   void commit(PendingFrontier level);
 
   /// Sizes of every committed level, 0..level().
   const std::vector<std::size_t>& level_sizes() const { return level_sizes_; }
 
-  // History, recorded only under options.keep_levels; indexed like the
-  // corresponding DepthAnalysis members restricted to this shard.
+  // History, indexed like the corresponding DepthAnalysis members
+  // restricted to this shard. Under options.keep_levels levels() holds
+  // every level 0..level(), and first_parent()/children() their links;
+  // otherwise levels() holds the current level only and the links are
+  // empty.
   const std::vector<std::vector<PrefixState>>& levels() const {
     return levels_;
   }
@@ -291,7 +301,7 @@ class FrontierEngine {
 
   // Move-out variants for building a DepthAnalysis from a finished
   // engine without copying multi-million-state histories; the engine is
-  // done afterwards (history empty).
+  // done afterwards (history empty, frontier() invalid).
   std::vector<std::vector<PrefixState>> take_levels() {
     return std::move(levels_);
   }
@@ -323,7 +333,6 @@ class FrontierEngine {
   AnalysisOptions options_;
   ViewInterner* interner_;
   ExpansionShape shape_;
-  std::vector<PrefixState> frontier_;
   int level_ = 0;
   std::vector<std::size_t> level_sizes_;
   std::vector<std::vector<PrefixState>> levels_;

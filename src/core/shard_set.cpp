@@ -141,9 +141,13 @@ bool ShardSet::advance(int depth) {
 }
 
 DepthAnalysis ShardSet::analyze(int depth) {
-  assert(depth >= level_);
-  // keep_levels sets are one-shot: assembly moves the history out.
-  assert(!options_.keep_levels || !shards_[0].engine->levels().empty());
+  assert(!shards_.empty() && "the set is spent after its deepest depth");
+  assert(level_ <= depth && depth <= options_.depth);
+  // At the deepest depth the set serves, assembly moves the levels out of
+  // the engines instead of copying them, and the set is spent. keep_levels
+  // sets are one-shot, so they always are at that depth.
+  const bool spend = depth == options_.depth;
+  assert(spend || !options_.keep_levels);
   while (level_ < depth && advance(depth)) {
   }
   const std::size_t num_roots = shards_.size();
@@ -172,97 +176,105 @@ DepthAnalysis ShardSet::analyze(int depth) {
     absorb_depth(*interner_, sources, absorbed_, parallel_for_);
   }
 
-  // ---- Range assembly: root r owns [offsets[s][r], offsets[s][r + 1])
-  // of merged level s and fills it on its own lanes, remapping views
-  // into the shared interner; ranges are cut at kAssembleBlock states so
-  // a heavy root spreads over the lanes.
+  // ---- Range assembly, root by root: root r owns [offset(s, r),
+  // offset(s, r + 1)) of merged level s. Each merged level reserves its
+  // full size once and grows to root r's end offset just before root r
+  // fills its range on the lanes, remapping views into the shared
+  // interner; ranges are cut at kAssembleBlock states so a heavy root
+  // spreads over the lanes. When the set is spent, each root's levels
+  // are moved, not copied, and freed before the next root grows the
+  // merged levels, so no state is ever held twice.
   const int first_level = options_.keep_levels ? 0 : reached;
-  std::vector<std::vector<std::size_t>> offsets;
+  const auto level_count = static_cast<std::size_t>(reached - first_level) + 1;
+  std::vector<std::vector<std::size_t>> offsets(
+      level_count, std::vector<std::size_t>(num_roots + 1, 0));
+  for (std::size_t u = 0; u < level_count; ++u) {
+    for (std::size_t r = 0; r < num_roots; ++r) {
+      offsets[u][r + 1] =
+          offsets[u][r] +
+          shards_[r].engine->level_sizes()[static_cast<std::size_t>(
+              first_level) + u];
+    }
+  }
+  analysis.levels.resize(level_count);
+  for (std::size_t u = 0; u < level_count; ++u) {
+    analysis.levels[u].reserve(offsets[u][num_roots]);
+  }
+  if (options_.keep_levels) {
+    analysis.first_parent.resize(level_count);
+    analysis.children.resize(level_count - 1);
+    for (std::size_t u = 0; u < level_count; ++u) {
+      analysis.first_parent[u].reserve(offsets[u][num_roots]);
+      if (u + 1 < level_count) {
+        analysis.children[u].reserve(offsets[u][num_roots]);
+      }
+    }
+  }
   struct Range {
-    int level;
-    std::size_t root;
+    std::size_t level;  // index into the engine's history
     std::size_t begin;
     std::size_t end;
   };
-  std::vector<Range> ranges;
-  for (int s = first_level; s <= reached; ++s) {
-    std::vector<std::size_t> level_offsets(num_roots + 1, 0);
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      const std::size_t size =
-          shards_[r].engine->level_sizes()[static_cast<std::size_t>(s)];
-      level_offsets[r + 1] = level_offsets[r] + size;
+  for (std::size_t r = 0; r < num_roots; ++r) {
+    FrontierEngine& engine = *shards_[r].engine;
+    const std::vector<ViewId>& remap = shards_[r].remap;
+    std::vector<std::vector<PrefixState>> taken;
+    std::vector<std::vector<std::pair<int, int>>> parents;
+    std::vector<std::vector<std::vector<int>>> children;
+    if (spend) {
+      taken = engine.take_levels();
+      parents = engine.take_first_parent();
+      children = engine.take_children();
+    }
+    const std::vector<std::vector<PrefixState>>& from =
+        spend ? taken : engine.levels();
+    std::vector<Range> ranges;
+    for (std::size_t u = 0; u < level_count; ++u) {
+      const std::size_t size = from[u].size();
       for (std::size_t begin = 0; begin < size; begin += kAssembleBlock) {
         ranges.push_back(
-            Range{s, r, begin, std::min(size, begin + kAssembleBlock)});
+            Range{u, begin, std::min(size, begin + kAssembleBlock)});
       }
-    }
-    offsets.push_back(std::move(level_offsets));
-  }
-  const auto offset = [&](int s, std::size_t r) {
-    return offsets[static_cast<std::size_t>(s - first_level)][r];
-  };
-  const auto remap_views = [&](PrefixState& state, std::size_t r) {
-    for (ViewId& id : state.views) {
-      id = shards_[r].remap[static_cast<std::size_t>(id)];
-    }
-  };
-
-  if (options_.keep_levels) {
-    std::vector<std::vector<std::vector<PrefixState>>> levels(num_roots);
-    std::vector<std::vector<std::vector<std::pair<int, int>>>> parents(
-        num_roots);
-    std::vector<std::vector<std::vector<std::vector<int>>>> children(
-        num_roots);
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      levels[r] = shards_[r].engine->take_levels();
-      parents[r] = shards_[r].engine->take_first_parent();
-      children[r] = shards_[r].engine->take_children();
-    }
-    const auto level_count = static_cast<std::size_t>(reached) + 1;
-    analysis.levels.resize(level_count);
-    analysis.first_parent.resize(level_count);
-    analysis.children.resize(level_count - 1);
-    for (int s = 0; s <= reached; ++s) {
-      const auto u = static_cast<std::size_t>(s);
-      analysis.levels[u].resize(offset(s, num_roots));
-      analysis.first_parent[u].resize(offset(s, num_roots));
-      if (s < reached) analysis.children[u].resize(offset(s, num_roots));
+      analysis.levels[u].resize(offsets[u][r + 1]);
+      if (options_.keep_levels) {
+        analysis.first_parent[u].resize(offsets[u][r + 1]);
+        if (u + 1 < level_count) {
+          analysis.children[u].resize(offsets[u][r + 1]);
+        }
+      }
     }
     run_parallel(parallel_for_, ranges.size(), [&](std::size_t i) {
       const Range& range = ranges[i];
-      const auto s = static_cast<std::size_t>(range.level);
-      const std::size_t r = range.root;
-      const std::size_t base = offset(range.level, r);
+      const std::size_t u = range.level;
+      const std::size_t base = offsets[u][r];
       for (std::size_t k = range.begin; k < range.end; ++k) {
-        PrefixState& state = analysis.levels[s][base + k];
-        state = std::move(levels[r][s][k]);
-        remap_views(state, r);
-        const auto [parent, letter] = parents[r][s][k];
-        analysis.first_parent[s][base + k] = {
-            parent < 0 ? -1
-                       : parent + static_cast<int>(offset(range.level - 1, r)),
+        PrefixState& state = analysis.levels[u][base + k];
+        if (spend) {
+          state = std::move(taken[u][k]);
+        } else {
+          state = from[u][k];
+        }
+        for (ViewId& id : state.views) {
+          id = remap[static_cast<std::size_t>(id)];
+        }
+        if (!options_.keep_levels) continue;
+        const auto [parent, letter] = parents[u][k];
+        analysis.first_parent[u][base + k] = {
+            parent < 0 ? -1 : parent + static_cast<int>(offsets[u - 1][r]),
             letter};
-        if (range.level < reached) {
-          std::vector<int>& kids = analysis.children[s][base + k];
-          kids = std::move(children[r][s][k]);
-          const auto shift = static_cast<int>(offset(range.level + 1, r));
+        if (u + 1 < level_count) {
+          std::vector<int>& kids = analysis.children[u][base + k];
+          kids = std::move(children[u][k]);
+          const auto shift = static_cast<int>(offsets[u + 1][r]);
           for (int& child : kids) child += shift;
         }
       }
     });
-  } else {
-    std::vector<PrefixState> merged(offset(reached, num_roots));
-    run_parallel(parallel_for_, ranges.size(), [&](std::size_t i) {
-      const Range& range = ranges[i];
-      const std::vector<PrefixState>& local =
-          shards_[range.root].engine->frontier();
-      const std::size_t base = offset(reached, range.root);
-      for (std::size_t k = range.begin; k < range.end; ++k) {
-        merged[base + k] = local[k];
-        remap_views(merged[base + k], range.root);
-      }
-    });
-    analysis.levels.push_back(std::move(merged));
+  }
+  if (spend) {
+    // Every level now lives in the analysis; the engines and private
+    // interners are not needed again.
+    shards_.clear();
   }
   if (trace != nullptr) {
     trace->complete(

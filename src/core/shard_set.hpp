@@ -33,10 +33,13 @@
 // Assembly is parallel too, and the contract above is unchanged by it.
 // absorb_depth translates and looks up every shard's new views on the
 // lanes, leaving only the interning of the misses, in (root, private id)
-// order, on one lane. The merged level is sized from the per-root
-// offsets, and each root fills its own range [offset_r, offset_{r+1}),
-// remapping views as it goes (keep_levels passes, which are one-shot,
-// move their history out of the engines instead of copying it). Component
+// order, on one lane. The merged level reserves its size from the
+// per-root offsets and is assembled root by root: it grows to root r's
+// end offset, and root r fills its range [offset_r, offset_{r+1}) on the
+// lanes, remapping views as it goes. At the deepest depth the set serves
+// (AnalysisOptions::depth), root r's levels are moved out of its engine,
+// not copied, and freed before root r + 1 grows the merged level, so each
+// level exists once, in the engine or in the analysis. Component
 // labelling (core/epsilon_approx.hpp) runs its unions, finds, and
 // per-component summaries by leaf ranges on the same lanes. Every one of
 // these steps writes index-addressed slots or order-free reductions, so
@@ -52,9 +55,14 @@
 // links, and shared-interner ids each depth assembles are the ones a
 // fresh pass builds, because both absorb the views one depth at a time in
 // the same (root, private id) order. Only the work counters of
-// telemetry/metrics.hpp drop, as levels are no longer re-expanded. The
-// keep_levels certify pass still expands from scratch, after the
-// persistent shards are released.
+// telemetry/metrics.hpp drop, as levels are no longer re-expanded. Below
+// the deepest depth, assembly copies the current level (the engines
+// expand it next); at the deepest depth it moves the levels out and
+// releases the engines and private interners, and the set is spent: no
+// later analyze() may come. check_solvability therefore builds its set
+// for max_depth, and depth_series for its last depth. The keep_levels
+// certify pass still expands from scratch, after the persistent shards
+// are released.
 //
 // Truncation: a level overflows iff the sum of its chunk sizes exceeds
 // max_states -- the same condition the single-scan BFS checks, because
@@ -101,7 +109,9 @@ void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
 /// expands only the levels that no earlier request expanded and absorbs
 /// only the views they added, so one set kept across the depths of
 /// iterative deepening expands every level exactly once; analyze_depth
-/// is a one-shot use.
+/// is a one-shot use. options.depth is the deepest depth the set serves:
+/// analyze(options.depth) moves the levels into its result and spends
+/// the set.
 class ShardSet {
  public:
   /// One engine (and private interner) per root. A null `interner`
@@ -113,8 +123,10 @@ class ShardSet {
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
 
-  /// Advances to `depth` (requests must not decrease) and assembles the
-  /// depth-`depth` analysis, every field identical to a fresh pass.
+  /// Advances to `depth` (requests must not decrease nor exceed
+  /// options.depth) and assembles the depth-`depth` analysis, every field
+  /// identical to a fresh pass. Must not be called again once `depth`
+  /// reached options.depth: that call spends the set.
   DepthAnalysis analyze(int depth);
 
  private:
@@ -140,6 +152,7 @@ class ShardSet {
   const std::shared_ptr<ViewInterner> interner_;
   const std::size_t chunk_states_;
   const ChunkProgressFn on_chunk_;
+  /// One per root; empty once the set is spent.
   std::vector<RootShard> shards_;
   int level_ = 0;
   /// Depth of the deepest views absorbed into interner_ (-1 = none).

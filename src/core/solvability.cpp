@@ -57,7 +57,11 @@ SolvabilityResult check_solvability(const MessageAdversary& adversary,
                                parallel_for, sharding);
         }
         if (!shards) {
-          shards.emplace(adversary, depth_options, parallel_for, interner,
+          // One set serves every cheap depth; max_depth is the deepest,
+          // where its assembly moves the levels out.
+          AnalysisOptions set_options = depth_options;
+          set_options.depth = options.max_depth;
+          shards.emplace(adversary, set_options, parallel_for, interner,
                          sharding);
         }
         return shards->analyze(depth_options.depth);
@@ -138,18 +142,28 @@ SolvabilityResult check_solvability_with(const MessageAdversary& adversary,
       result.verdict = SolvabilityVerdict::kSolvable;
       result.certified_depth = depth;
       if (options.build_table) {
+        // The certify pass rebuilds the leaves with every level; release
+        // the cheap ones first so they are not held twice.
+        cheap = DepthAnalysis();
         analysis_options.keep_levels = true;
         const std::uint64_t certify_start =
             trace != nullptr ? trace->now_us() : 0;
         DepthAnalysis full = analyze(analysis_options, interner);
+        const std::uint64_t table_start =
+            trace != nullptr ? trace->now_us() : 0;
+        result.table = DecisionTable::build(full, options.strong_validity);
         if (trace != nullptr) {
+          const std::uint64_t table_end = trace->now_us();
+          trace->complete(
+              "table", "table", table_start, table_end - table_start,
+              {telemetry::TraceArg::num("depth",
+                                        static_cast<std::uint64_t>(depth)),
+               telemetry::TraceArg::num("entries", result.table->size())});
           trace->complete("depth " + std::to_string(depth) + " (certify)",
-                          "depth", certify_start,
-                          trace->now_us() - certify_start,
+                          "depth", certify_start, table_end - certify_start,
                           {telemetry::TraceArg::num(
                               "depth", static_cast<std::uint64_t>(depth))});
         }
-        result.table = DecisionTable::build(full, options.strong_validity);
         result.analysis = std::move(full);
       } else {
         result.analysis = std::move(cheap);

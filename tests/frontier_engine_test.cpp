@@ -305,6 +305,35 @@ TEST(FrontierEngine, ExpandIsReadOnlyAndChunksCompose) {
     EXPECT_EQ(merged.states[i].letter, whole.states[i].letter) << i;
     EXPECT_EQ(merged.states[i].adv_state, whole.states[i].adv_state) << i;
   }
+  // The reach column is concatenated in chunk order, n masks per state.
+  EXPECT_EQ(merged.state_reach.size(),
+            whole.states.size() *
+                static_cast<std::size_t>(ma->num_processes()));
+  EXPECT_EQ(merged.state_reach, whole.state_reach);
+}
+
+// The current level is the last entry of the history, not a copy of it:
+// under keep_levels the history grows by one level per commit, and
+// without it the history holds the current level only.
+TEST(FrontierEngine, HistoryHoldsEachLevelOnce) {
+  const auto ma = make_omission_adversary(2, 1);
+  for (const bool keep_levels : {true, false}) {
+    SCOPED_TRACE(keep_levels ? "keep_levels" : "frontier only");
+    AnalysisOptions options;
+    options.depth = 3;
+    options.keep_levels = keep_levels;
+    ViewInterner interner;
+    FrontierEngine engine(*ma, options, interner, 0, 4);
+    while (true) {
+      ASSERT_FALSE(engine.levels().empty());
+      EXPECT_EQ(&engine.frontier(), &engine.levels().back());
+      EXPECT_EQ(engine.levels().size(),
+                keep_levels ? static_cast<std::size_t>(engine.level()) + 1
+                            : 1u);
+      if (engine.level() == options.depth) break;
+      ASSERT_TRUE(commit_next_level(engine, 2));
+    }
+  }
 }
 
 TEST(FrontierEngine, BudgetAbortsDoomedLevels) {

@@ -445,6 +445,28 @@ TEST(ParallelDeepening, TruncationKeepsTheLastCompleteDepth) {
   });
 }
 
+// With max_depth = 2 the overflowing level belongs to the deepest depth
+// the kept shards serve, so assembly takes the move path: it carries the
+// last complete level (depth 1) out of the engines, exactly as the
+// reference reports it.
+TEST(ParallelDeepening, TruncationAtTheDeepestDepthKeepsTheLastCompleteLevel) {
+  const auto ma = make_omission_adversary(3, 2);
+  SolvabilityOptions options;
+  options.max_depth = 2;
+  options.max_states = 3871;
+  const SolvabilityResult oracle = check_solvability_oracle(*ma, options);
+  ASSERT_EQ(oracle.verdict, SolvabilityVerdict::kResourceLimit);
+  ASSERT_EQ(oracle.analysis->depth, 1);
+  ASSERT_EQ(oracle.analysis->leaves().size(), 176u);
+  for_each_execution([&](const ParallelFor& lanes,
+                             const ShardingOptions& sharding) {
+    const SolvabilityResult parallel =
+        check_solvability(*ma, options, lanes, {}, sharding);
+    expect_same_check(oracle, parallel);
+    EXPECT_TRUE(parallel.analysis->truncated);
+  });
+}
+
 // The certify pass runs from scratch after the kept shards are released;
 // its table must decide every prefix exactly like the single-scan
 // reference checker's.

@@ -303,5 +303,53 @@ TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
   }
 }
 
+// The decision-table build of a certified check emits one `table` span
+// with its depth and entry count, nested in time inside the certify pass's
+// depth span.
+TEST(TraceWriter, TableSpanNestsInsideTheCertifyDepth) {
+  std::ostringstream out;
+  std::size_t table_entries = 0;
+  {
+    TraceWriter writer(out);
+    telemetry::MetricsRegistry registry(&writer);
+    SolvabilityOptions options;
+    options.max_depth = 4;
+    options.build_table = true;
+    options.metrics = &registry;
+    sweep::ThreadPool pool(2);
+    const SolvabilityResult result = check_solvability(
+        *make_lossy_link(0b011), options, pool.as_parallel_for());
+    ASSERT_EQ(result.verdict, SolvabilityVerdict::kSolvable);
+    ASSERT_TRUE(result.table.has_value());
+    table_entries = result.table->size();
+  }
+  const sweep::JsonValue doc = sweep::JsonReader::parse(out.str());
+  std::vector<Span> tables;
+  std::vector<Span> certify;
+  std::uint64_t certified_depth = 0;
+  for (const sweep::JsonValue& event : doc.elements) {
+    if (event.at("ph").as_string() != "X") continue;
+    Span span;
+    span.name = event.at("name").as_string();
+    span.category = event.at("cat").as_string();
+    span.ts = event.at("ts").as_uint();
+    span.dur = event.at("dur").as_uint();
+    if (span.category == "table") {
+      EXPECT_EQ(span.name, "table");
+      certified_depth = event.at("args").at("depth").as_uint();
+      EXPECT_EQ(event.at("args").at("entries").as_uint(), table_entries);
+      tables.push_back(span);
+    } else if (span.category == "depth" &&
+               span.name.find("(certify)") != std::string::npos) {
+      certify.push_back(span);
+    }
+  }
+  ASSERT_EQ(tables.size(), 1u);
+  ASSERT_EQ(certify.size(), 1u);
+  EXPECT_EQ(certify[0].name,
+            "depth " + std::to_string(certified_depth) + " (certify)");
+  EXPECT_TRUE(certify[0].contains(tables[0]));
+}
+
 }  // namespace
 }  // namespace topocon
