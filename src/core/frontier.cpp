@@ -393,7 +393,17 @@ void FrontierEngine::commit(PendingFrontier level) {
     out.views.resize(n);
     if (options_.keep_levels) parents.emplace_back(state.parent, state.letter);
   }
-  // Only the view columns are read from here on.
+  // Install the level; without keep_levels this frees its parent level.
+  // Only the view columns of `level` are read from here on.
+  ++level_;
+  level_sizes_.push_back(next.size());
+  if (options_.keep_levels) {
+    levels_.push_back(std::move(next));
+    children_.push_back(std::move(level.children));
+    first_parent_.push_back(std::move(parents));
+  } else {
+    levels_.back() = std::move(next);
+  }
   level.states = std::vector<PendingState>();
   level.state_reach = std::vector<NodeMask>();
   // Each distinct pending view is interned exactly once, on first use;
@@ -401,9 +411,10 @@ void FrontierEngine::commit(PendingFrontier level) {
   // process order, so ids are assigned in the serial scan's order.
   std::vector<ViewId> resolved(level.views.size(), -1);
   std::vector<ViewId> senders;
-  for (std::size_t s = 0; s < next.size(); ++s) {
+  std::vector<PrefixState>& installed = levels_.back();
+  for (std::size_t s = 0; s < installed.size(); ++s) {
     const std::uint32_t* state_views = level.state_views.data() + s * n;
-    std::vector<ViewId>& views = next[s].views;
+    std::vector<ViewId>& views = installed[s].views;
     for (std::size_t q = 0; q < n; ++q) {
       ViewId& id = resolved[state_views[q]];
       if (id < 0) {
@@ -427,15 +438,6 @@ void FrontierEngine::commit(PendingFrontier level) {
       }
       views[q] = id;
     }
-  }
-  ++level_;
-  level_sizes_.push_back(next.size());
-  if (options_.keep_levels) {
-    levels_.push_back(std::move(next));
-    children_.push_back(std::move(level.children));
-    first_parent_.push_back(std::move(parents));
-  } else {
-    levels_.back() = std::move(next);
   }
   // The single counter-flush point: only committed levels reach it, so
   // every count is identical at any thread count (see telemetry/metrics).
