@@ -176,14 +176,14 @@ DepthAnalysis ShardSet::analyze(int depth) {
     absorb_depth(*interner_, sources, absorbed_, parallel_for_);
   }
 
-  // ---- Range assembly, root by root: root r owns [offset(s, r),
-  // offset(s, r + 1)) of merged level s. Each merged level reserves its
-  // full size once and grows to root r's end offset just before root r
-  // fills its range on the lanes, remapping views into the shared
-  // interner; ranges are cut at kAssembleBlock states so a heavy root
-  // spreads over the lanes. When the set is spent, each root's levels
-  // are moved, not copied, and freed before the next root grows the
-  // merged levels, so no state is ever held twice.
+  // ---- Range assembly, root by root: root r owns [offsets[u][r],
+  // offsets[u][r + 1]) of merged level u (level first_level + u). Each
+  // merged level reserves its full size once and grows to root r's end
+  // offset just before root r fills its range on the lanes, remapping
+  // views into the shared interner; ranges are cut at kAssembleBlock
+  // states so a heavy root spreads over the lanes. When the set is spent,
+  // each root's levels are moved, not copied, and freed before the next
+  // root grows the merged levels, so no state is ever held twice.
   const int first_level = options_.keep_levels ? 0 : reached;
   const auto level_count = static_cast<std::size_t>(reached - first_level) + 1;
   std::vector<std::vector<std::size_t>> offsets(
