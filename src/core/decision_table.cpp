@@ -142,8 +142,7 @@ void DecisionTable::save(std::ostream& out) const {
   const ViewInterner& interner = *interner_;
   out << "interner " << interner.size() << '\n';
   for (std::size_t id = 0; id < interner.size(); ++id) {
-    const ViewInterner::Node& node =
-        interner.node(static_cast<ViewId>(id));
+    const ViewInterner::Node node = interner.node(static_cast<ViewId>(id));
     if (node.depth == 0) {
       out << "B " << node.process << ' ' << node.input << '\n';
     } else {

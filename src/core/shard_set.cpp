@@ -1,11 +1,15 @@
 #include "core/shard_set.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,47 @@ namespace {
 
 // States per run_parallel index of the range assembly.
 constexpr std::size_t kAssembleBlock = std::size_t{1} << 14;
+
+// The scratch table of absorb_depth: a slot holds the high half of a
+// key's hash above the smallest rank seen with that key, or kEmptySlot.
+constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+constexpr std::uint64_t kRankMask = 0xffffffffu;
+// ids[i] of a miss that is its key's smallest rank, until it has its id.
+constexpr ViewId kWinner = -2;
+// Ranks hashed and prefetched ahead of their table probes.
+constexpr std::size_t kPrefetchBatch = 16;
+
+// Inserts `rank` (whose key hashes to `hash`) into `table`, or lowers
+// the rank stored for its key to `rank` if that is smaller -- a priority
+// write, by CAS through std::atomic_ref, so concurrent lanes agree on
+// the smallest rank whatever order they run in. `same_key(j)` says
+// whether rank j has `rank`'s key. Returns the slot of the key.
+template <typename SameKey>
+std::size_t write_min(std::vector<std::uint64_t>& table, std::uint64_t hash,
+                      std::uint32_t rank, const SameKey& same_key) {
+  const std::size_t wrap = table.size() - 1;
+  const std::uint64_t mine = (hash & ~kRankMask) | rank;
+  for (std::size_t slot = hash & wrap;; slot = (slot + 1) & wrap) {
+    std::atomic_ref<std::uint64_t> cell(table[slot]);
+    std::uint64_t seen = cell.load(std::memory_order_acquire);
+    if (seen == kEmptySlot &&
+        cell.compare_exchange_strong(seen, mine, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      return slot;
+    }
+    // The slot holds a key for good: only a smaller rank of the same key
+    // ever replaces its entry.
+    if ((seen & ~kRankMask) != (mine & ~kRankMask) ||
+        !same_key(static_cast<std::uint32_t>(seen & kRankMask))) {
+      continue;
+    }
+    while (mine < seen &&
+           !cell.compare_exchange_weak(seen, mine, std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+    }
+    return slot;
+  }
+}
 
 }  // namespace
 
@@ -171,9 +216,25 @@ DepthAnalysis ShardSet::analyze(int depth) {
   for (RootShard& shard : shards_) {
     sources.push_back(AbsorbSource{&shard.interner, &shard.remap});
   }
+  const std::uint64_t absorb_start = trace != nullptr ? trace->now_us() : 0;
+  std::size_t absorbed_views = 0;
+  std::size_t misses = 0;
   while (absorbed_ < reached) {
     ++absorbed_;
-    absorb_depth(*interner_, sources, absorbed_, parallel_for_);
+    for (const RootShard& shard : shards_) {
+      absorbed_views -= shard.remap.size();
+    }
+    misses += absorb_depth(*interner_, sources, absorbed_, parallel_for_);
+    for (const RootShard& shard : shards_) {
+      absorbed_views += shard.remap.size();
+    }
+  }
+  if (trace != nullptr) {
+    trace->complete(
+        "absorb", "absorb", absorb_start, trace->now_us() - absorb_start,
+        {telemetry::TraceArg::num("depth", static_cast<std::uint64_t>(depth)),
+         telemetry::TraceArg::num("views", absorbed_views),
+         telemetry::TraceArg::num("misses", misses)});
   }
 
   // ---- Range assembly, root by root: root r owns [offsets[u][r],
@@ -288,61 +349,195 @@ DepthAnalysis ShardSet::analyze(int depth) {
   return analysis;
 }
 
-void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
-                  int depth, const ParallelFor& parallel_for) {
-  const auto translate = [&](const AbsorbSource& source,
-                             const ViewInterner::Node& node,
-                             std::vector<ViewId>& senders) {
-    senders.clear();
-    for (const ViewId sender : node.senders) {
-      senders.push_back((*source.remap)[static_cast<std::size_t>(sender)]);
-    }
-  };
-  // Phase one, per source on the lanes: translate each new view of this
-  // depth and look it up read-only. found[r][k] is the shared id of
-  // source r's k-th new view, -1 if `into` does not hold it yet.
-  std::vector<std::vector<ViewId>> found(sources.size());
-  run_parallel(parallel_for, sources.size(), [&](std::size_t r) {
+std::size_t absorb_depth(ViewInterner& into,
+                         const std::vector<AbsorbSource>& sources, int depth,
+                         const ParallelFor& parallel_for) {
+  // The rank order: source r's new views of this depth, private ids
+  // first[r], first[r] + 1, ..., are the ranks start[r] .. start[r + 1] -
+  // 1. Their senders are one contiguous run of the source's sender
+  // column, from run[r] on; translated through the remap they go to the
+  // same offsets of translated[], from translated_start[r] on.
+  const std::size_t num_sources = sources.size();
+  std::vector<ViewId> first(num_sources);
+  std::vector<std::size_t> start(num_sources + 1, 0);
+  std::vector<const ViewId*> run(num_sources, nullptr);
+  std::vector<std::size_t> translated_start(num_sources + 1, 0);
+  for (std::size_t r = 0; r < num_sources; ++r) {
     const ViewInterner& from = *sources[r].interner;
     std::vector<ViewId>& remap = *sources[r].remap;
     assert(remap.size() == from.size() ||
            from.node(static_cast<ViewId>(remap.size())).depth >= depth);
-    remap.reserve(from.size());
-    std::vector<ViewId> senders;
-    for (auto id = static_cast<ViewId>(remap.size());
-         static_cast<std::size_t>(id) < from.size() &&
-         from.node(id).depth == depth;
-         ++id) {
-      const ViewInterner::Node& node = from.node(id);
-      if (depth == 0) {
-        found[r].push_back(into.find_base(node.process, node.input));
-      } else {
-        translate(sources[r], node, senders);
-        found[r].push_back(into.find_step(node.process, node.mask, senders));
+    first[r] = static_cast<ViewId>(remap.size());
+    ViewId end = first[r];
+    while (static_cast<std::size_t>(end) < from.size() &&
+           from.node(end).depth == depth) {
+      ++end;
+    }
+    start[r + 1] = start[r] + static_cast<std::size_t>(end - first[r]);
+    translated_start[r + 1] = translated_start[r];
+    if (end > first[r]) {
+      const std::span<const ViewId> head = from.key(first[r]).senders;
+      const std::span<const ViewId> tail = from.key(end - 1).senders;
+      run[r] = head.data();
+      translated_start[r + 1] +=
+          static_cast<std::size_t>(tail.data() + tail.size() - head.data());
+    }
+    remap.resize(static_cast<std::size_t>(end));
+  }
+  const std::size_t total = start[num_sources];
+  if (total >= kRankMask) {
+    std::fprintf(stderr, "absorb_depth: more than 2^32 new views\n");
+    std::abort();
+  }
+  std::vector<ViewId> translated(translated_start[num_sources]);
+  const auto source_of = [&](std::size_t rank) {
+    return static_cast<std::size_t>(
+        std::upper_bound(start.begin(), start.end(), rank) - start.begin() -
+        1);
+  };
+  const auto private_key = [&](std::size_t r, std::size_t i) {
+    return sources[r].interner->key(first[r] +
+                                    static_cast<ViewId>(i - start[r]));
+  };
+  // Where the translation of source r's view `key` goes.
+  const auto translation = [&](std::size_t r, const ViewInterner::Key& key) {
+    return translated.data() + translated_start[r] +
+           (key.senders.data() - run[r]);
+  };
+  // Rank i's key in `into`'s ids (valid once the lane that owns rank i
+  // has translated it).
+  const auto key_of = [&](std::size_t r, std::size_t i) {
+    const ViewInterner::Key key = private_key(r, i);
+    return ViewInterner::Key{key.process, key.word,
+                             {translation(r, key), key.senders.size()}};
+  };
+  // Runs fn(r, i) for the ranks i in [begin, end), r the source of i.
+  const auto each_rank = [&](std::size_t begin, std::size_t end,
+                             const auto& fn) {
+    std::size_t r = source_of(begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      while (i >= start[r + 1]) ++r;
+      fn(r, i);
+    }
+  };
+
+  // ---- Translate, hash and look up every rank once. A hit takes its
+  // shared id; a miss enters the scratch table, which keeps the smallest
+  // rank of each key: its first occurrence, the one a serial loop interns.
+  std::vector<ViewId> ids(total);
+  std::vector<std::uint32_t> slot(total);  // a miss's slot in `table`
+  std::size_t capacity = 2;
+  while (capacity < 2 * total) capacity *= 2;
+  std::vector<std::uint64_t> table(capacity, kEmptySlot);
+  const std::size_t blocks = num_parallel_blocks(total);
+  std::vector<std::size_t> block_misses(blocks, 0);
+  const std::size_t wrap = capacity - 1;
+  run_parallel_blocks(parallel_for, total, [&](std::size_t block,
+                                               std::size_t begin,
+                                               std::size_t end) {
+    std::size_t misses = 0;
+    std::uint64_t hashes[kPrefetchBatch];
+    for (std::size_t batch = begin; batch < end; batch += kPrefetchBatch) {
+      const std::size_t stop = std::min(end, batch + kPrefetchBatch);
+      each_rank(batch, stop, [&](std::size_t r, std::size_t i) {
+        const ViewInterner::Key own = private_key(r, i);
+        const std::vector<ViewId>& remap = *sources[r].remap;
+        ViewId* out = translation(r, own);
+        for (std::size_t k = 0; k < own.senders.size(); ++k) {
+          out[k] = remap[static_cast<std::size_t>(own.senders[k])];
+        }
+        const std::uint64_t hash = ViewInterner::hash(
+            {own.process, own.word, {out, own.senders.size()}});
+        hashes[i - batch] = hash;
+        into.prefetch(hash);
+        __builtin_prefetch(table.data() + (hash & wrap));
+      });
+      each_rank(batch, stop, [&](std::size_t r, std::size_t i) {
+        const ViewInterner::Key key = key_of(r, i);
+        const std::uint64_t hash = hashes[i - batch];
+        ids[i] = into.find(key, hash);
+        if (ids[i] >= 0) return;
+        ++misses;
+        slot[i] = static_cast<std::uint32_t>(write_min(
+            table, hash, static_cast<std::uint32_t>(i),
+            [&](std::uint32_t j) { return key_of(source_of(j), j) == key; }));
+      });
+    }
+    block_misses[block] = misses;
+  });
+
+  // ---- The winners take the ids into.size(), into.size() + 1, ... in
+  // rank order: count them per block, and a prefix sum over the blocks
+  // gives each block its first id and sender offset.
+  std::vector<std::size_t> block_views(blocks + 1, 0);
+  std::vector<std::size_t> block_senders(blocks + 1, 0);
+  run_parallel_blocks(parallel_for, total, [&](std::size_t block,
+                                               std::size_t begin,
+                                               std::size_t end) {
+    std::size_t views = 0;
+    std::size_t senders = 0;
+    for (std::size_t batch = begin; batch < end; batch += kPrefetchBatch) {
+      const std::size_t stop = std::min(end, batch + kPrefetchBatch);
+      for (std::size_t i = batch; i < stop; ++i) {
+        if (ids[i] < 0) __builtin_prefetch(table.data() + slot[i]);
       }
+      each_rank(batch, stop, [&](std::size_t r, std::size_t i) {
+        if (ids[i] >= 0 || (table[slot[i]] & kRankMask) != i) return;
+        ids[i] = kWinner;
+        ++views;
+        senders += private_key(r, i).senders.size();
+      });
+    }
+    block_views[block + 1] = views;
+    block_senders[block + 1] = senders;
+  });
+  for (std::size_t b = 0; b < blocks; ++b) {
+    block_views[b + 1] += block_views[b];
+    block_senders[b + 1] += block_senders[b];
+  }
+  const ViewInterner::Blank blank =
+      into.append_blank(block_views[blocks], block_senders[blocks]);
+  run_parallel_blocks(parallel_for, blank.stale, [&](std::size_t,
+                                                     std::size_t begin,
+                                                     std::size_t end) {
+    into.reindex(static_cast<ViewId>(begin), static_cast<ViewId>(end));
+  });
+  run_parallel_blocks(parallel_for, total, [&](std::size_t block,
+                                               std::size_t begin,
+                                               std::size_t end) {
+    auto id = blank.first_id + static_cast<ViewId>(block_views[block]);
+    std::size_t sender = blank.first_sender + block_senders[block];
+    std::uint64_t hashes[kPrefetchBatch];
+    for (std::size_t batch = begin; batch < end; batch += kPrefetchBatch) {
+      const std::size_t stop = std::min(end, batch + kPrefetchBatch);
+      each_rank(batch, stop, [&](std::size_t r, std::size_t i) {
+        if (ids[i] != kWinner) return;
+        hashes[i - batch] = ViewInterner::hash(key_of(r, i));
+        into.prefetch(hashes[i - batch]);
+      });
+      each_rank(batch, stop, [&](std::size_t r, std::size_t i) {
+        if (ids[i] != kWinner) return;
+        const ViewInterner::Key key = key_of(r, i);
+        into.put(id, sender, key, hashes[i - batch]);
+        ids[i] = id++;
+        sender += key.senders.size();
+      });
     }
   });
-  // Phase two, serial: intern the misses in (source, private id) order.
-  // A key missed by several sources is inserted by the first and found
-  // by the rest, exactly as absorb_from source by source would.
-  std::vector<ViewId> senders;
-  for (std::size_t r = 0; r < sources.size(); ++r) {
-    const ViewInterner& from = *sources[r].interner;
-    std::vector<ViewId>& remap = *sources[r].remap;
-    for (ViewId shared : found[r]) {
-      if (shared < 0) {
-        const ViewInterner::Node& node =
-            from.node(static_cast<ViewId>(remap.size()));
-        if (depth == 0) {
-          shared = into.base(node.process, node.input);
-        } else {
-          translate(sources[r], node, senders);
-          shared = into.step(node.process, node.mask, senders);
-        }
-      }
-      remap.push_back(shared);
-    }
-  }
+
+  // ---- Every loser takes its winner's id, and the remaps take them all.
+  run_parallel_blocks(parallel_for, total, [&](std::size_t,
+                                               std::size_t begin,
+                                               std::size_t end) {
+    each_rank(begin, end, [&](std::size_t r, std::size_t i) {
+      (*sources[r].remap)[static_cast<std::size_t>(first[r]) +
+                          (i - start[r])] =
+          ids[i] >= 0 ? ids[i] : ids[table[slot[i]] & kRankMask];
+    });
+  });
+  std::size_t misses = 0;
+  for (const std::size_t block : block_misses) misses += block;
+  return misses;
 }
 
 }  // namespace topocon

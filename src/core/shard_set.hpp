@@ -31,15 +31,16 @@
 // order a serial scan interns them.
 //
 // Assembly is parallel too, and the contract above is unchanged by it.
-// absorb_depth translates and looks up every shard's new views on the
-// lanes, leaving only the interning of the misses, in (root, private id)
-// order, on one lane. The merged level reserves its size from the
-// per-root offsets and is assembled root by root: it grows to root r's
-// end offset, and root r fills its range [offset_r, offset_{r+1}) on the
-// lanes, remapping views as it goes. At the deepest depth the set serves
-// (AnalysisOptions::depth), root r's levels are moved out of its engine,
-// not copied, and freed before root r + 1 grows the merged level, so each
-// level exists once, in the engine or in the analysis. Component
+// absorb_depth interns every shard's new views on the lanes, over blocks
+// of their (root, private id) order, and an ordered deduplication gives
+// them the ids a serial loop in that order assigns. The merged level
+// reserves its size from the per-root offsets and is assembled root by
+// root: it grows to root r's end offset, and root r fills its range
+// [offset_r, offset_{r+1}) on the lanes, remapping views as it goes. At
+// the deepest depth the set serves (AnalysisOptions::depth), root r's
+// levels are moved out of its engine, not copied, and freed before root
+// r + 1 grows the merged level, so each level exists once, in the engine
+// or in the analysis. Component
 // labelling (core/epsilon_approx.hpp) runs its unions, finds, and
 // per-component summaries by leaf ranges on the same lanes. Every one of
 // these steps writes index-addressed slots or order-free reductions, so
@@ -95,15 +96,24 @@ struct AbsorbSource {
 /// source, in source order; each source's views of smaller depths must
 /// be absorbed already, and its views of depth `depth` must come next in
 /// id order (true of every frontier engine's interner, which interns a
-/// level after the one before). Phase one runs per source on
-/// `parallel_for`: it translates each new view's senders through the
-/// remap and looks the key up read-only in `into`. Phase two is serial:
-/// it interns the misses in (source, private id) order, which
-/// deduplicates them across sources (GBBS's ordered remove-duplicates: a
-/// key's first occurrence wins). The ids are exactly those absorb_from
-/// assigns applied source by source to the same views.
-void absorb_depth(ViewInterner& into, const std::vector<AbsorbSource>& sources,
-                  int depth, const ParallelFor& parallel_for = {});
+/// level after the one before). Returns how many of those views `into`
+/// did not hold yet (counting a view new to it once per source).
+///
+/// It runs on `parallel_for` over blocks of the views' (source, private
+/// id) rank order, so one heavy source spreads over every lane: each
+/// view is translated through the remap, hashed, and looked up
+/// read-only in `into` once; each miss enters a scratch table by a
+/// priority write that keeps the smallest rank of every key, which is
+/// GBBS's ordered remove-duplicates (a key's first occurrence wins). A
+/// prefix sum over the winners in rank order gives them the ids
+/// into.size(), into.size() + 1, ..., and each other copy of a key takes
+/// its winner's id. The ids are exactly those absorb_from assigns applied
+/// source by source to the same views, at any lane count. The calling
+/// thread must own `into`; the lanes write only pre-sized disjoint slots
+/// and atomics.
+std::size_t absorb_depth(ViewInterner& into,
+                         const std::vector<AbsorbSource>& sources, int depth,
+                         const ParallelFor& parallel_for = {});
 
 /// The root shards of one job, advanced level by level. analyze(depth)
 /// expands only the levels that no earlier request expanded and absorbs

@@ -1,6 +1,7 @@
 #include "ptg/view_intern.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -11,6 +12,10 @@ namespace topocon {
 namespace {
 
 constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+/// The low half of an index slot: the node id.
+constexpr std::uint64_t kIdMask = 0xffffffffu;
+/// Keys hashed and prefetched ahead of their index probes.
+constexpr ViewId kPrefetchBatch = 16;
 
 [[noreturn]] void die(const char* message) {
   std::fprintf(stderr, "ViewInterner misuse: %s\n", message);
@@ -40,18 +45,7 @@ void ViewInterner::attach_to_current_thread() {
 ViewId ViewInterner::base(ProcessId p, Value x) {
   check_owner();
   assert(p >= 0 && x >= 0);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint32_t>(x);
-  const auto [it, inserted] =
-      base_table_.try_emplace(key, static_cast<ViewId>(nodes_.size()));
-  if (inserted) {
-    Node node;
-    node.process = p;
-    node.depth = 0;
-    node.input = x;
-    nodes_.push_back(std::move(node));
-  }
-  return it->second;
+  return intern(Key{p, static_cast<std::uint32_t>(x), {}});
 }
 
 ViewId ViewInterner::step(ProcessId q, NodeMask mask,
@@ -68,63 +62,93 @@ ViewId ViewInterner::step(ProcessId q, NodeMask mask,
   {
     NodeMask rest = mask;
     for (const ViewId id : sender_ids) {
-      assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size() &&
+      assert(id >= 0 && static_cast<std::size_t>(id) < records_.size() &&
              "step() sender id not interned here");
       const int p = std::countr_zero(rest);
       rest &= rest - 1;
-      const Node& sender = nodes_[static_cast<std::size_t>(id)];
+      const Record& sender = records_[static_cast<std::size_t>(id)];
       assert(sender.process == p &&
              "step() sender ids not in increasing process (mask) order");
       assert(sender.depth ==
-                 nodes_[static_cast<std::size_t>(sender_ids.front())].depth &&
+                 records_[static_cast<std::size_t>(sender_ids.front())]
+                     .depth &&
              "step() senders at mixed depths");
     }
   }
 #endif
-  const std::uint64_t hash = step_hash(q, mask, sender_ids);
-  if (2 * (num_steps_ + 1) > step_slots_.size()) grow_steps();
-  const std::size_t slot = step_slot(q, mask, sender_ids, hash);
-  if (step_slots_[slot] != kEmptySlot) {
-    return static_cast<ViewId>(step_slots_[slot] & 0xffffffffu);
+  return intern(Key{q, mask, sender_ids});
+}
+
+ViewId ViewInterner::intern(const Key& key) {
+  const std::uint64_t h = hash(key);
+  if (!reserve_index(records_.size() + 1)) {
+    reindex(0, static_cast<ViewId>(records_.size()));
   }
-  const auto id = static_cast<ViewId>(nodes_.size());
-  step_slots_[slot] = (hash & ~std::uint64_t{0xffffffffu}) |
-                      static_cast<std::uint32_t>(id);
-  ++num_steps_;
-  Node node;
-  node.process = q;
-  // Depth = sender depth + 1; the self-loop guarantees q itself appears
-  // among the senders, so every step node has depth >= 1.
-  node.depth =
-      nodes_[static_cast<std::size_t>(sender_ids.front())].depth + 1;
-  node.mask = mask;
-  node.senders = sender_ids;
-  nodes_.push_back(std::move(node));
+  const std::size_t slot = slot_of(key, h);
+  if (slots_[slot] != kEmptySlot) {
+    return static_cast<ViewId>(slots_[slot] & kIdMask);
+  }
+  if (senders_.size() + key.senders.size() > kIdMask) {
+    die("more than 2^32 sender ids");
+  }
+  const auto id = static_cast<ViewId>(records_.size());
+  slots_[slot] = (h & ~kIdMask) | static_cast<std::uint32_t>(id);
+  records_.push_back(Record{key.process, depth_of(key), key.word,
+                            static_cast<std::uint32_t>(senders_.size())});
+  senders_.insert(senders_.end(), key.senders.begin(), key.senders.end());
   return id;
 }
 
-ViewId ViewInterner::find_base(ProcessId p, Value x) const {
-  const auto it = base_table_.find((static_cast<std::uint64_t>(p) << 32) |
-                                   static_cast<std::uint32_t>(x));
-  return it == base_table_.end() ? -1 : it->second;
+int ViewInterner::depth_of(const Key& key) const {
+  // The self-loop guarantees a step view's own process among its
+  // senders, so every step node has depth >= 1.
+  return key.senders.empty()
+             ? 0
+             : records_[static_cast<std::size_t>(key.senders.front())].depth +
+                   1;
 }
 
-ViewId ViewInterner::find_step(ProcessId q, NodeMask mask,
-                               const std::vector<ViewId>& sender_ids) const {
-  if (step_slots_.empty()) return -1;
-  const std::uint64_t entry =
-      step_slots_[step_slot(q, mask, sender_ids,
-                            step_hash(q, mask, sender_ids))];
-  return entry == kEmptySlot ? -1
-                             : static_cast<ViewId>(entry & 0xffffffffu);
+ViewInterner::Node ViewInterner::node(ViewId id) const {
+  const Record& record = records_[static_cast<std::size_t>(id)];
+  Node node;
+  node.process = record.process;
+  node.depth = record.depth;
+  if (record.depth == 0) {
+    node.input = static_cast<Value>(record.word);
+  } else {
+    node.mask = record.word;
+  }
+  node.senders = key(id).senders;
+  return node;
 }
 
-std::uint64_t ViewInterner::step_hash(ProcessId q, NodeMask mask,
-                                      const std::vector<ViewId>& sender_ids) {
+ViewInterner::Key ViewInterner::key(ViewId id) const {
+  const Record& record = records_[static_cast<std::size_t>(id)];
+  const std::size_t count =
+      record.depth == 0 ? 0 : static_cast<std::size_t>(
+                                  std::popcount(record.word));
+  return Key{record.process, record.word,
+             std::span<const ViewId>(senders_.data() + record.first_sender,
+                                     count)};
+}
+
+bool operator==(const ViewInterner::Key& a, const ViewInterner::Key& b) {
+  return a.process == b.process && a.word == b.word &&
+         std::ranges::equal(a.senders, b.senders);
+}
+
+ViewId ViewInterner::find(const Key& key, std::uint64_t hash) const {
+  if (slots_.empty()) return -1;
+  const std::uint64_t entry = slots_[slot_of(key, hash)];
+  return entry == kEmptySlot ? -1 : static_cast<ViewId>(entry & kIdMask);
+}
+
+std::uint64_t ViewInterner::hash(const Key& key) {
   std::uint64_t h =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(q)) << 32) ^
-      mask;
-  for (const ViewId id : sender_ids) {
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.process))
+       << 32) ^
+      key.word;
+  for (const ViewId id : key.senders) {
     h = (h ^ static_cast<std::uint32_t>(id)) * 0x9e3779b97f4a7c15ull;
     h ^= h >> 29;
   }
@@ -133,33 +157,78 @@ std::uint64_t ViewInterner::step_hash(ProcessId q, NodeMask mask,
   return h ^ (h >> 31);
 }
 
-std::size_t ViewInterner::step_slot(ProcessId q, NodeMask mask,
-                                    const std::vector<ViewId>& sender_ids,
-                                    std::uint64_t hash) const {
-  const std::size_t wrap = step_slots_.size() - 1;
-  const std::uint64_t tag = hash & ~std::uint64_t{0xffffffffu};
+std::size_t ViewInterner::slot_of(const Key& key, std::uint64_t hash) const {
+  const std::size_t wrap = slots_.size() - 1;
+  const std::uint64_t tag = hash & ~kIdMask;
   for (std::size_t slot = hash & wrap;; slot = (slot + 1) & wrap) {
-    const std::uint64_t entry = step_slots_[slot];
+    const std::uint64_t entry = slots_[slot];
     if (entry == kEmptySlot) return slot;
-    if ((entry & ~std::uint64_t{0xffffffffu}) != tag) continue;
-    const Node& node = nodes_[entry & 0xffffffffu];
-    if (node.process == q && node.mask == mask && node.senders == sender_ids) {
+    if ((entry & ~kIdMask) == tag &&
+        this->key(static_cast<ViewId>(entry & kIdMask)) == key) {
       return slot;
     }
   }
 }
 
-void ViewInterner::grow_steps() {
-  std::vector<std::uint64_t> old = std::move(step_slots_);
-  step_slots_.assign(std::max<std::size_t>(64, 2 * old.size()), kEmptySlot);
-  const std::size_t wrap = step_slots_.size() - 1;
-  for (const std::uint64_t entry : old) {
-    if (entry == kEmptySlot) continue;
-    const Node& node = nodes_[entry & 0xffffffffu];
-    std::size_t slot = step_hash(node.process, node.mask, node.senders) & wrap;
-    while (step_slots_[slot] != kEmptySlot) slot = (slot + 1) & wrap;
-    step_slots_[slot] = entry;
+bool ViewInterner::reserve_index(std::size_t views) {
+  std::size_t capacity = std::max<std::size_t>(64, slots_.size());
+  while (capacity < 2 * views) capacity *= 2;
+  if (capacity == slots_.size()) return true;
+  slots_.clear();
+  slots_.shrink_to_fit();
+  slots_.assign(capacity, kEmptySlot);
+  return false;
+}
+
+void ViewInterner::index(ViewId id, std::uint64_t hash) {
+  // Every key is in the index at most once, so the node takes the first
+  // free slot of its probe run; a lost race only means that another
+  // lane's node took that one. Relaxed suffices: no lane reads the index
+  // before the lanes that fill it have joined.
+  const std::size_t wrap = slots_.size() - 1;
+  const std::uint64_t entry =
+      (hash & ~kIdMask) | static_cast<std::uint32_t>(id);
+  for (std::size_t slot = hash & wrap;; slot = (slot + 1) & wrap) {
+    std::uint64_t expected = kEmptySlot;
+    if (std::atomic_ref<std::uint64_t>(slots_[slot])
+            .compare_exchange_strong(expected, entry,
+                                     std::memory_order_relaxed)) {
+      return;
+    }
   }
+}
+
+ViewInterner::Blank ViewInterner::append_blank(std::size_t views,
+                                               std::size_t senders) {
+  check_owner();
+  if (senders_.size() + senders > kIdMask) die("more than 2^32 sender ids");
+  Blank blank{static_cast<ViewId>(records_.size()), senders_.size(), 0};
+  if (!reserve_index(records_.size() + views)) blank.stale = records_.size();
+  records_.resize(records_.size() + views);
+  senders_.resize(senders_.size() + senders);
+  return blank;
+}
+
+void ViewInterner::reindex(ViewId begin, ViewId end) {
+  std::uint64_t hashes[kPrefetchBatch];
+  for (ViewId batch = begin; batch < end; batch += kPrefetchBatch) {
+    const ViewId stop = std::min<ViewId>(end, batch + kPrefetchBatch);
+    for (ViewId id = batch; id < stop; ++id) {
+      hashes[id - batch] = hash(key(id));
+      prefetch(hashes[id - batch]);
+    }
+    for (ViewId id = batch; id < stop; ++id) index(id, hashes[id - batch]);
+  }
+}
+
+void ViewInterner::put(ViewId id, std::size_t first_sender, const Key& key,
+                       std::uint64_t hash) {
+  records_[static_cast<std::size_t>(id)] =
+      Record{key.process, depth_of(key), key.word,
+             static_cast<std::uint32_t>(first_sender)};
+  std::ranges::copy(key.senders, senders_.begin() +
+                                     static_cast<std::ptrdiff_t>(first_sender));
+  index(id, hash);
 }
 
 ViewVector ViewInterner::initial(const InputVector& inputs) {
@@ -206,22 +275,17 @@ std::vector<ViewId> ViewInterner::absorb(const ViewInterner& other) {
 void ViewInterner::absorb_from(const ViewInterner& other,
                                std::vector<ViewId>& remap) {
   check_owner();
-  assert(remap.size() <= other.nodes_.size());
-  remap.reserve(other.nodes_.size());
+  assert(remap.size() <= other.size());
+  remap.reserve(other.size());
   std::vector<ViewId> senders;
-  for (std::size_t id = remap.size(); id < other.nodes_.size(); ++id) {
-    const Node& node = other.nodes_[id];
-    if (node.depth == 0) {
-      remap.push_back(base(node.process, node.input));
-      continue;
-    }
+  for (std::size_t id = remap.size(); id < other.size(); ++id) {
+    const Key key = other.key(static_cast<ViewId>(id));
     senders.clear();
-    senders.reserve(node.senders.size());
-    for (const ViewId sender : node.senders) {
+    for (const ViewId sender : key.senders) {
       // Step nodes only reference earlier ids, so the remap entry exists.
       senders.push_back(remap[static_cast<std::size_t>(sender)]);
     }
-    remap.push_back(step(node.process, node.mask, senders));
+    remap.push_back(intern(Key{key.process, key.word, senders}));
   }
 }
 

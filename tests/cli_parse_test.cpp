@@ -28,7 +28,7 @@ TEST(EdgeCases, ReconstructPrefixRejectsBadIndex) {
 TEST(EdgeCases, InternerNodeMetadata) {
   ViewInterner interner;
   const ViewId base_id = interner.base(1, 7);
-  const ViewInterner::Node& base_node = interner.node(base_id);
+  const ViewInterner::Node base_node = interner.node(base_id);
   EXPECT_EQ(base_node.process, 1);
   EXPECT_EQ(base_node.depth, 0);
   EXPECT_EQ(base_node.input, 7);
@@ -36,7 +36,7 @@ TEST(EdgeCases, InternerNodeMetadata) {
   const ViewId other = interner.base(0, 3);
   const ViewId step_id =
       interner.step(1, 0b11, {other, base_id});  // senders 0 then 1
-  const ViewInterner::Node& step_node = interner.node(step_id);
+  const ViewInterner::Node step_node = interner.node(step_id);
   EXPECT_EQ(step_node.process, 1);
   EXPECT_EQ(step_node.depth, 1);
   EXPECT_EQ(step_node.mask, NodeMask{0b11});

@@ -5,9 +5,14 @@
 // the shared interner node by node -- at threads {1, 4} x chunk {1,
 // default}, for one-shot, iterative, keep_levels, and truncated passes
 // under the min and a P-view topology.
+#include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "adversary/lossy_link.hpp"
 #include "adversary/omission.hpp"
 #include "core/epsilon_approx.hpp"
+#include "core/parallel_for.hpp"
 #include "core/shard_set.hpp"
 #include "core/solvability.hpp"
 #include "graph/enumerate.hpp"
@@ -36,13 +42,14 @@ void expect_same_interner(const ViewInterner& expected,
     ASSERT_EQ(got.size(), expected.size()) << ctx;
   }
   for (std::size_t id = 0; id < got.size(); ++id) {
-    const ViewInterner::Node& a = expected.node(static_cast<ViewId>(id));
-    const ViewInterner::Node& b = got.node(static_cast<ViewId>(id));
+    const ViewInterner::Node a = expected.node(static_cast<ViewId>(id));
+    const ViewInterner::Node b = got.node(static_cast<ViewId>(id));
     ASSERT_EQ(b.process, a.process) << ctx << " view " << id;
     ASSERT_EQ(b.depth, a.depth) << ctx << " view " << id;
     ASSERT_EQ(b.input, a.input) << ctx << " view " << id;
     ASSERT_EQ(b.mask, a.mask) << ctx << " view " << id;
-    ASSERT_EQ(b.senders, a.senders) << ctx << " view " << id;
+    ASSERT_TRUE(std::ranges::equal(b.senders, a.senders))
+        << ctx << " view " << id;
   }
 }
 
@@ -192,7 +199,7 @@ TEST(ParallelAssembly, IterativeAndCertifyPassesMatchOracle) {
   }
 }
 
-// The two-phase absorb of several shards, one view depth at a time,
+// The parallel absorb of several shards, one view depth at a time,
 // assigns exactly the ids (and remaps) that absorb_from applied shard by
 // shard assigns, at every pool size.
 TEST(ParallelAssembly, TwoPhaseAbsorbMatchesAbsorbFrom) {
@@ -233,6 +240,132 @@ TEST(ParallelAssembly, TwoPhaseAbsorbMatchesAbsorbFrom) {
         }
       }
     }
+  }
+}
+
+// A depth-1 view of the ordered-absorb test: process q hears every
+// process, whose inputs are x[0], x[1], x[2]. Keys are coded as
+// q * kInputs^3 + x[0] * kInputs^2 + x[1] * kInputs + x[2].
+constexpr Value kInputs = 40;
+constexpr int kCodes = 3 * kInputs * kInputs * kInputs;
+
+ViewId intern_code(ViewInterner& interner, int code) {
+  const ProcessId q = code / (kInputs * kInputs * kInputs);
+  std::vector<ViewId> senders(3);
+  for (int p = 2; p >= 0; --p) {
+    senders[static_cast<std::size_t>(p)] = interner.base(p, code % kInputs);
+    code /= kInputs;
+  }
+  return interner.step(q, 0b111, senders);
+}
+
+// Sources big enough that source 0's depth-1 views span three blocks of
+// the rank order (kParallelBlock ranks each), drawn at random from one
+// key space, so that many keys occur in several sources, in blocks far
+// apart; some keys are in the shared interner already. The absorb must
+// keep each key's first occurrence in (source, private id) order: the
+// remaps and the interner equal absorb_from's, node by node, on pools
+// {1, 4, 8} and on a ParallelFor that runs the blocks last to first, so
+// that a key's higher-rank copy always enters the scratch table first
+// and must give way.
+TEST(ParallelAssembly, OrderedAbsorbKeepsFirstOccurrenceAcrossBlocks) {
+  const std::size_t kDepthOne[] = {2 * kParallelBlock + 5000, 30000, 30000};
+  constexpr std::size_t kDepthTwo = 8000;
+  constexpr std::size_t kKnown = 4000;  // keys `into` holds beforehand
+  constexpr std::size_t kSources = std::size(kDepthOne);
+  const ParallelFor reversed = [](std::size_t count,
+                                  const std::function<void(std::size_t)>& fn) {
+    for (std::size_t i = count; i-- > 0;) fn(i);
+  };
+  for (const int threads : {1, 4, 8, 0}) {  // 0: the reversed ParallelFor
+    const std::string ctx = threads == 0
+                                ? std::string("reversed blocks")
+                                : "threads=" + std::to_string(threads);
+    std::mt19937_64 rng(2019);
+    std::vector<int> codes(kCodes);
+    for (int c = 0; c < kCodes; ++c) codes[static_cast<std::size_t>(c)] = c;
+    std::vector<ViewInterner> shards(kSources);
+    std::vector<std::vector<int>> drawn(kSources);
+    // Depth 0: every base view, in an order of its own per source.
+    for (std::size_t r = 0; r < kSources; ++r) {
+      std::vector<int> bases(3 * kInputs);
+      for (int b = 0; b < 3 * kInputs; ++b) {
+        bases[static_cast<std::size_t>(b)] = b;
+      }
+      std::shuffle(bases.begin(), bases.end(), rng);
+      for (const int b : bases) shards[r].base(b / kInputs, b % kInputs);
+    }
+    std::optional<sweep::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    const ParallelFor parallel_for =
+        threads > 0 ? pool->as_parallel_for() : reversed;
+    ViewInterner parallel;
+    ViewInterner serial;
+    std::vector<std::vector<ViewId>> parallel_remaps(kSources);
+    std::vector<std::vector<ViewId>> serial_remaps(kSources);
+    std::vector<AbsorbSource> sources;
+    for (std::size_t r = 0; r < kSources; ++r) {
+      sources.push_back({&shards[r], &parallel_remaps[r]});
+    }
+    for (int depth = 0; depth <= 2; ++depth) {
+      if (depth == 1) {
+        // Some keys are known to the shared interner already.
+        std::shuffle(codes.begin(), codes.end(), rng);
+        for (std::size_t k = 0; k < kKnown; ++k) {
+          intern_code(parallel, codes[k]);
+          intern_code(serial, codes[k]);
+        }
+        for (std::size_t r = 0; r < kSources; ++r) {
+          std::shuffle(codes.begin(), codes.end(), rng);
+          drawn[r].assign(codes.begin(), codes.begin() + kDepthOne[r]);
+          for (const int code : drawn[r]) intern_code(shards[r], code);
+        }
+      } else if (depth == 2) {
+        for (std::size_t r = 0; r < kSources; ++r) {
+          // The depth-1 views of each process, by private id.
+          std::vector<std::vector<ViewId>> by_process(3);
+          for (auto id = static_cast<ViewId>(3 * kInputs);
+               static_cast<std::size_t>(id) < shards[r].size(); ++id) {
+            by_process[static_cast<std::size_t>(shards[r].node(id).process)]
+                .push_back(id);
+          }
+          for (std::size_t k = 0; k < kDepthTwo; ++k) {
+            std::vector<ViewId> senders;
+            for (const std::vector<ViewId>& views : by_process) {
+              // Half of the draws come from the first 16 views, so
+              // depth 2 has cross-source duplicates too.
+              const std::size_t range = k % 2 == 0 ? 16 : views.size();
+              senders.push_back(views[rng() % range]);
+            }
+            shards[r].step(static_cast<ProcessId>(k % 3), 0b111, senders);
+          }
+        }
+      }
+      const std::size_t views_before = parallel.size();
+      const std::size_t misses =
+          absorb_depth(parallel, sources, depth, parallel_for);
+      for (std::size_t r = 0; r < kSources; ++r) {
+        serial.absorb_from(shards[r], serial_remaps[r]);
+      }
+      const std::string at = ctx + " depth=" + std::to_string(depth);
+      EXPECT_EQ(parallel_remaps, serial_remaps) << at;
+      expect_same_interner(serial, parallel, at);
+      if (depth == 1) {
+        std::size_t offered = 0;
+        for (std::size_t r = 0; r < kSources; ++r) offered += kDepthOne[r];
+        EXPECT_LT(misses, offered) << at;  // the known keys hit
+        EXPECT_LT(parallel.size() - views_before, misses) << at;
+      }
+    }
+    // The construction has what the test is about: keys of source 0's
+    // first block that recur in the other sources' blocks.
+    const std::set<int> first_block(drawn[0].begin(),
+                                    drawn[0].begin() + kParallelBlock);
+    std::size_t recurring = 0;
+    for (std::size_t r = 1; r < kSources; ++r) {
+      for (const int code : drawn[r]) recurring += first_block.count(code);
+    }
+    EXPECT_GT(recurring, 1000u) << ctx;
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for process-time graphs and view interning. The central property
 // cross-validated here is the exactness of hash-consed views: interned ids
 // are equal iff the paper-faithful causal-cone sub-DAGs are equal.
+#include <algorithm>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -230,7 +231,7 @@ TEST(ViewInterner, ViewsAreCumulative) {
 }
 
 // absorb_from() in steps, once per depth on shards that keep growing (the
-// serial reference of sweep::absorb_depth), must assign exactly the ids
+// serial reference of topocon::absorb_depth), must assign exactly the ids
 // that re-absorbing each whole shard at every step assigns, and one
 // absorb() of a finished shard assigns them too.
 TEST(ViewInterner, IncrementalAbsorbMatchesWholeAbsorb) {
@@ -266,12 +267,12 @@ TEST(ViewInterner, IncrementalAbsorbMatchesWholeAbsorb) {
     }
   }
   for (std::size_t id = 0; id < whole.size(); ++id) {
-    const auto& a = stepped.node(static_cast<ViewId>(id));
-    const auto& b = whole.node(static_cast<ViewId>(id));
+    const ViewInterner::Node a = stepped.node(static_cast<ViewId>(id));
+    const ViewInterner::Node b = whole.node(static_cast<ViewId>(id));
     EXPECT_EQ(a.process, b.process);
     EXPECT_EQ(a.input, b.input);
     EXPECT_EQ(a.mask, b.mask);
-    EXPECT_EQ(a.senders, b.senders);
+    EXPECT_TRUE(std::ranges::equal(a.senders, b.senders));
   }
   // A single shard absorbed in steps or once at the end: same ids.
   solo.absorb_from(shards[0], solo_remap);

@@ -251,11 +251,15 @@ TEST(TraceWriter, DeepeningLabelsChunksWithTheirLevelsDepth) {
 
 // Shard assembly and component labelling each emit one span per depth
 // pass (cheap or certify), nested in time inside that pass's depth span
-// and carrying its depth.
+// and carrying its depth. The absorb of the new views is one span nested
+// inside its pass's assemble span, with the views it absorbed and how
+// many of them the shared interner missed.
 TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
   struct Labeled {
     Span span;
     std::uint64_t depth = 0;
+    std::uint64_t views = 0;
+    std::uint64_t misses = 0;
   };
   std::ostringstream out;
   {
@@ -280,10 +284,15 @@ TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
     labeled.span.dur = event.at("dur").as_uint();
     if (labeled.span.category != "depth" &&
         labeled.span.category != "assemble" &&
+        labeled.span.category != "absorb" &&
         labeled.span.category != "components") {
       continue;
     }
     labeled.depth = event.at("args").at("depth").as_uint();
+    if (labeled.span.category == "absorb") {
+      labeled.views = event.at("args").at("views").as_uint();
+      labeled.misses = event.at("args").at("misses").as_uint();
+    }
     by_category[labeled.span.category].push_back(labeled);
   }
   const std::vector<Labeled>& depths = by_category["depth"];
@@ -301,6 +310,22 @@ TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
       EXPECT_TRUE(nested) << stage << " at " << inner.span.ts;
     }
   }
+  const std::vector<Labeled>& assembles = by_category["assemble"];
+  const std::vector<Labeled>& absorbs = by_category["absorb"];
+  EXPECT_EQ(absorbs.size(), assembles.size());
+  std::uint64_t views = 0;
+  for (const Labeled& absorb : absorbs) {
+    EXPECT_EQ(absorb.span.name, "absorb");
+    EXPECT_LE(absorb.misses, absorb.views);
+    views += absorb.views;
+    bool nested = false;
+    for (const Labeled& assemble : assembles) {
+      nested |= assemble.depth == absorb.depth &&
+                assemble.span.contains(absorb.span);
+    }
+    EXPECT_TRUE(nested) << "absorb at " << absorb.span.ts;
+  }
+  EXPECT_GT(views, 0u);
 }
 
 // The decision-table build of a certified check emits one `table` span
