@@ -6,6 +6,7 @@
 #include <map>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace topocon {
 
@@ -44,13 +45,14 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
     }
     masks_per_level[num_levels - 1] = value_mask;
   }
+  // Fold up the parent column: each child ORs its mask into its parent's.
+  // OR is order-free, so one linear pass over the child level suffices.
   for (std::size_t s = num_levels - 1; s-- > 0;) {
-    const std::vector<std::vector<int>>& children = analysis.children[s];
+    const std::vector<std::pair<int, int>>& parent = analysis.parent[s + 1];
     std::vector<std::uint32_t> up(analysis.levels[s].size(), 0);
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      for (const int child : children[i]) {
-        up[i] |= masks_per_level[s + 1][static_cast<std::size_t>(child)];
-      }
+    for (std::size_t j = 0; j < parent.size(); ++j) {
+      up[static_cast<std::size_t>(parent[j].first)] |=
+          masks_per_level[s + 1][j];
     }
     masks_per_level[s] = std::move(up);
   }
@@ -171,8 +173,15 @@ void DecisionTable::save(std::ostream& out) const {
 }
 
 DecisionTable DecisionTable::load(std::istream& in) {
+  // A count read from the stream only bounds a loop, never sizes a
+  // container, so a huge count in a short stream fails as truncated
+  // input. Every precondition ViewInterner::base/step assert or abort on
+  // is checked before the call.
   auto fail = [](const char* what) -> void {
     throw std::runtime_error(std::string("DecisionTable::load: ") + what);
+  };
+  auto read = [&](auto&... values) {
+    if (!(in >> ... >> values)) fail("truncated input");
   };
   std::string token;
   in >> token;
@@ -182,28 +191,46 @@ DecisionTable DecisionTable::load(std::istream& in) {
   in >> token;
   if (token != "interner") fail("expected interner section");
   std::size_t num_nodes = 0;
-  in >> num_nodes;
+  read(num_nodes);
   table.interner_ = std::make_shared<ViewInterner>();
   ViewInterner& interner = *table.interner_;
+  std::vector<ViewId> senders;
   for (std::size_t id = 0; id < num_nodes; ++id) {
-    in >> token;
+    read(token);
     ViewId created = -1;
     if (token == "B") {
       ProcessId p;
       Value x;
-      in >> p >> x;
+      read(p, x);
+      if (p < 0 || x < 0) fail("negative base view");
       created = interner.base(p, x);
     } else if (token == "S") {
       ProcessId q;
       NodeMask mask;
       std::size_t count;
-      in >> q >> mask >> count;
-      std::vector<ViewId> senders(count);
-      for (ViewId& sender : senders) {
-        in >> sender;
+      read(q, mask, count);
+      if (q < 0 || q >= kMaxProcesses || !mask_contains(mask, q)) {
+        fail("step view without its self-loop");
+      }
+      if (count != static_cast<std::size_t>(std::popcount(mask))) {
+        fail("sender count does not match the in-mask");
+      }
+      senders.clear();
+      for (NodeMask rest = mask; rest != 0; rest &= rest - 1) {
+        ViewId sender;
+        read(sender);
         if (sender < 0 || static_cast<std::size_t>(sender) >= id) {
           fail("forward sender reference");
         }
+        const ViewInterner::Node node = interner.node(sender);
+        if (node.process != std::countr_zero(rest)) {
+          fail("senders not in increasing process order");
+        }
+        if (!senders.empty() &&
+            node.depth != interner.node(senders.front()).depth) {
+          fail("senders at mixed depths");
+        }
+        senders.push_back(sender);
       }
       created = interner.step(q, mask, senders);
     } else {
@@ -214,29 +241,29 @@ DecisionTable DecisionTable::load(std::istream& in) {
   in >> token;
   if (token != "levels") fail("expected levels section");
   std::size_t num_levels = 0;
-  in >> num_levels;
-  table.by_level_.resize(num_levels);
+  read(num_levels);
   for (std::size_t s = 0; s < num_levels; ++s) {
-    in >> token;
+    read(token);
     if (token != "level") fail("expected level header");
     std::size_t entries = 0;
-    in >> entries;
+    read(entries);
+    auto& level = table.by_level_.emplace_back();
     for (std::size_t e = 0; e < entries; ++e) {
       std::uint64_t k;
       Value v;
-      in >> k >> v;
-      table.by_level_[s].emplace(k, v);
+      read(k, v);
+      level.emplace(k, v);
     }
   }
   in >> token;
   if (token != "fractions") fail("expected fractions section");
   std::size_t count = 0;
-  in >> count;
-  table.decided_fraction_.resize(count);
-  for (double& f : table.decided_fraction_) {
-    in >> f;
+  read(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    double f;
+    read(f);
+    table.decided_fraction_.push_back(f);
   }
-  if (!in) fail("truncated input");
   return table;
 }
 

@@ -68,10 +68,9 @@ std::vector<PrefixState> initial_frontier(const MessageAdversary& adversary,
 FrontierLevel expand_frontier(const MessageAdversary& adversary,
                               ViewInterner& interner,
                               const std::vector<PrefixState>& current,
-                              std::size_t max_states, bool keep_links) {
+                              std::size_t max_states) {
   FrontierLevel level;
   std::unordered_map<StateKey, int, StateKeyHash> index;
-  if (keep_links) level.children.resize(current.size());
 
   for (std::size_t i = 0; i < current.size() && !level.overflow; ++i) {
     const PrefixState& parent = current[i];
@@ -89,16 +88,10 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
         child.reach = advance_reach(parent.reach, g);
         child.adv_state = adv_next;
         level.states.push_back(std::move(child));
-        level.first_parent.emplace_back(static_cast<int>(i), letter);
+        level.parent.emplace_back(static_cast<int>(i), letter);
         if (level.states.size() > max_states) {
           level.overflow = true;
           break;
-        }
-      }
-      if (keep_links) {
-        std::vector<int>& kids = level.children[i];
-        if (std::find(kids.begin(), kids.end(), it->second) == kids.end()) {
-          kids.push_back(it->second);
         }
       }
     }
@@ -307,14 +300,13 @@ DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,
       adversary, options, *analysis.interner, 0, num_roots);
   if (options.keep_levels) {
     analysis.levels.push_back(frontier);
-    analysis.first_parent.push_back(
+    analysis.parent.push_back(
         std::vector<std::pair<int, int>>(frontier.size(), {-1, -1}));
   }
   int level = 0;
   for (int s = 1; s <= options.depth; ++s) {
-    FrontierLevel next =
-        expand_frontier(adversary, *analysis.interner, frontier,
-                        options.max_states, options.keep_levels);
+    FrontierLevel next = expand_frontier(adversary, *analysis.interner,
+                                         frontier, options.max_states);
     if (next.overflow) {
       analysis.truncated = true;
       break;
@@ -323,8 +315,7 @@ DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,
     ++level;
     if (options.keep_levels) {
       analysis.levels.push_back(frontier);
-      analysis.first_parent.push_back(std::move(next.first_parent));
-      analysis.children.push_back(std::move(next.children));
+      analysis.parent.push_back(std::move(next.parent));
     }
   }
   analysis.depth = level;
@@ -339,7 +330,7 @@ DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,
 std::optional<RunPrefix> reconstruct_prefix(const MessageAdversary& adversary,
                                             const DepthAnalysis& analysis,
                                             int leaf_index) {
-  assert(!analysis.first_parent.empty() &&
+  assert(!analysis.parent.empty() &&
          "reconstruct_prefix requires keep_levels");
   const std::size_t last = analysis.levels.size() - 1;
   if (leaf_index < 0 ||
@@ -350,7 +341,7 @@ std::optional<RunPrefix> reconstruct_prefix(const MessageAdversary& adversary,
   int index = leaf_index;
   for (std::size_t s = last; s >= 1; --s) {
     const auto [parent, letter] =
-        analysis.first_parent[s][static_cast<std::size_t>(index)];
+        analysis.parent[s][static_cast<std::size_t>(index)];
     letters.push_back(letter);
     index = parent;
   }

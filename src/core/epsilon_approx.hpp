@@ -172,14 +172,15 @@ struct DepthAnalysis {
   /// is always present).
   std::vector<std::vector<PrefixState>> levels;
 
-  /// children[s][i] = indices into levels[s+1] reached from levels[s][i]
-  /// by one letter. Present only when options.keep_levels.
-  std::vector<std::vector<std::vector<int>>> children;
-
-  /// first_parent[s][i] = (index into levels[s-1], letter) of the first
-  /// discovered way to reach levels[s][i]; {-1, -1} at level 0. Present
-  /// only when options.keep_levels. Used to reconstruct witness prefixes.
-  std::vector<std::vector<std::pair<int, int>>> first_parent;
+  /// parent[s][i] = (index into levels[s-1], letter) of the one prefix
+  /// that levels[s][i] extends by one letter; {-1, -1} at level 0. The
+  /// prefix space is a forest, so this column is its only tree link: a
+  /// level is parent-ordered (parent indices never decrease, letters
+  /// increase within one parent's run), and the children of
+  /// levels[s][i] are the run of levels[s+1] whose parent is i. Present
+  /// only when options.keep_levels. Read to reconstruct witness
+  /// prefixes and to fold the decision table up the tree.
+  std::vector<std::vector<std::pair<int, int>>> parent;
 
   /// Component id of each leaf (levels.back()).
   std::vector<int> leaf_component;
@@ -215,7 +216,7 @@ DepthAnalysis analyze_depth(const MessageAdversary& adversary,
 /// does not run the level driver: the identical analysis built by the
 /// single-scan initial_frontier()/expand_frontier() calls below,
 /// re-expanding every level from scratch. Every field of the result --
-/// levels, links, truncation, components, and the interner's id
+/// levels, parent columns, truncation, components, and the interner's id
 /// assignment order -- must be bit-identical to analyze_depth() at every
 /// chunk size and lane count; the fuzz differential harness
 /// (tests/fuzz_differential_test.cpp, `topocon fuzz`) asserts exactly
@@ -240,15 +241,12 @@ DepthAnalysis analyze_depth_oracle(
 // frontier engine must reproduce state for state (enforced by
 // tests/frontier_engine_test.cpp).
 
-/// One expanded BFS level: the deduplicated child classes plus the tree
-/// links back into the parent level.
+/// One expanded BFS level: the deduplicated child classes plus their
+/// parent column back into the parent level.
 struct FrontierLevel {
   std::vector<PrefixState> states;
-  /// (parent index, letter) of the first discovery, per state.
-  std::vector<std::pair<int, int>> first_parent;
-  /// children[i] = deduplicated child indices of parent i; filled only
-  /// when expand_frontier is called with keep_links.
-  std::vector<std::vector<int>> children;
+  /// (parent index, letter) of the emission that created each state.
+  std::vector<std::pair<int, int>> parent;
   /// True iff the level exceeded max_states (states is then incomplete).
   bool overflow = false;
 };
@@ -264,7 +262,7 @@ std::vector<PrefixState> initial_frontier(const MessageAdversary& adversary,
 FrontierLevel expand_frontier(const MessageAdversary& adversary,
                               ViewInterner& interner,
                               const std::vector<PrefixState>& current,
-                              std::size_t max_states, bool keep_links);
+                              std::size_t max_states);
 
 /// Builds leaf_component, components, and the separation/broadcastability
 /// flags from analysis.levels.back(); requires num_processes, num_values,

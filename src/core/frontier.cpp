@@ -124,7 +124,7 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
       initial_frontier(adversary, options, interner, first_root, last_root));
   level_sizes_.push_back(frontier().size());
   if (options_.keep_levels) {
-    first_parent_.push_back(
+    parents_.push_back(
         std::vector<std::pair<int, int>>(frontier().size(), {-1, -1}));
   }
 }
@@ -178,7 +178,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
     out.overflow = true;
     return out;
   }
-  if (options_.keep_levels) out.children.resize(chunk.end - chunk.begin);
   telemetry::TraceWriter* trace =
       options_.metrics != nullptr ? options_.metrics->trace() : nullptr;
   const std::uint64_t span_start = trace != nullptr ? trace->now_us() : 0;
@@ -268,10 +267,6 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
       ++emissions;
       out.states.push_back(
           PendingState{adv_next, static_cast<int>(i), letter});
-      if (options_.keep_levels) {
-        out.children[i - chunk.begin].push_back(
-            static_cast<int>(out.states.size()) - 1);
-      }
       if (out.states.size() > options_.max_states) {
         out.overflow = true;
         break;
@@ -319,7 +314,6 @@ PendingFrontier FrontierEngine::merge(
 
   PendingFrontier level;
   level.chunk = FrontierChunk{0, frontier().size()};
-  if (options_.keep_levels) level.children.resize(frontier().size());
   std::vector<std::uint32_t> view_remap;
   for (PendingFrontier& chunk : chunks) {
     level.stats.add(chunk.stats);
@@ -334,7 +328,6 @@ PendingFrontier FrontierEngine::merge(
           chunk.views.words_of(static_cast<int>(v)),
           chunk.views.count_of(static_cast<int>(v)), &inserted));
     }
-    const auto offset = static_cast<int>(level.states.size());
     for (const std::uint32_t v : chunk.state_views) {
       level.state_views.push_back(view_remap[v]);
     }
@@ -346,13 +339,6 @@ PendingFrontier FrontierEngine::merge(
     if (level.states.size() > options_.max_states) {
       level.overflow = true;
       return level;
-    }
-    if (options_.keep_levels) {
-      for (std::size_t p = 0; p < chunk.children.size(); ++p) {
-        std::vector<int>& kids = level.children[chunk.chunk.begin + p];
-        kids = std::move(chunk.children[p]);
-        for (int& child : kids) child += offset;
-      }
     }
     // Fully folded in: free the chunk's tables before the next folds in.
     chunk = PendingFrontier{};
@@ -399,8 +385,7 @@ void FrontierEngine::commit(PendingFrontier level) {
   level_sizes_.push_back(next.size());
   if (options_.keep_levels) {
     levels_.push_back(std::move(next));
-    children_.push_back(std::move(level.children));
-    first_parent_.push_back(std::move(parents));
+    parents_.push_back(std::move(parents));
   } else {
     levels_.back() = std::move(next);
   }

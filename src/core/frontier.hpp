@@ -21,12 +21,11 @@
 //   commit     pending views deduplicated across chunks, and only then
 //              interned: commit resolves each distinct pending view
 //              exactly once, in first-use order. Because chunk order is
-//              frontier order, the merged level -- states, first_parent
-//              links, children links, and even the interner's id
-//              assignment order -- is identical to what a single serial
-//              scan of the whole frontier produces, for EVERY chunk
-//              size. Chunking is an execution detail that can never
-//              change a result.
+//              frontier order, the merged level -- states, parent
+//              links, and even the interner's id assignment order --
+//              is identical to what a single serial scan of the whole
+//              frontier produces, for EVERY chunk size. Chunking is an
+//              execution detail that can never change a result.
 //
 // States need no deduplication: every (parent, letter) emission is a new
 // prefix class. Level-0 states have pairwise distinct views (one per
@@ -34,7 +33,11 @@
 // of p contains its parent's view of p: children of distinct parents
 // differ in some view. Two letters are distinct graphs (enforced by
 // MessageAdversary), so they differ in some receiver's in-mask, and the
-// children of one parent differ in that receiver's view.
+// children of one parent differ in that receiver's view. A level is
+// therefore parent-ordered: its states are its emissions in frontier
+// order, and the children of frontier state i are the contiguous run of
+// states whose parent is i, by increasing letter. The parent column is
+// the level's only tree link.
 //
 // merge() is separated from commit() so the level driver, which
 // coordinates one engine per root (core/shard_set.hpp), can apply the
@@ -189,9 +192,6 @@ struct PendingFrontier {
   /// The states' reach masks, n per state like state_views: process q's
   /// mask in state s is state_reach[s * n + q].
   std::vector<NodeMask> state_reach;
-  /// children[i - chunk.begin] = local child indices of frontier parent
-  /// i, in discovery order; filled only under keep_levels.
-  std::vector<std::vector<int>> children;
   /// True iff the slice exceeded max_states (states incomplete).
   bool overflow = false;
   /// Expansion statistics of this slice, flushed into
@@ -286,17 +286,14 @@ class FrontierEngine {
 
   // History, indexed like the corresponding DepthAnalysis members
   // restricted to this shard. Under options.keep_levels levels() holds
-  // every level 0..level(), and first_parent()/children() their links;
-  // otherwise levels() holds the current level only and the links are
+  // every level 0..level(), and parents() their parent columns;
+  // otherwise levels() holds the current level only and parents() is
   // empty.
   const std::vector<std::vector<PrefixState>>& levels() const {
     return levels_;
   }
-  const std::vector<std::vector<std::pair<int, int>>>& first_parent() const {
-    return first_parent_;
-  }
-  const std::vector<std::vector<std::vector<int>>>& children() const {
-    return children_;
+  const std::vector<std::vector<std::pair<int, int>>>& parents() const {
+    return parents_;
   }
 
   // Move-out variants for building a DepthAnalysis from a finished
@@ -305,11 +302,8 @@ class FrontierEngine {
   std::vector<std::vector<PrefixState>> take_levels() {
     return std::move(levels_);
   }
-  std::vector<std::vector<std::pair<int, int>>> take_first_parent() {
-    return std::move(first_parent_);
-  }
-  std::vector<std::vector<std::vector<int>>> take_children() {
-    return std::move(children_);
+  std::vector<std::vector<std::pair<int, int>>> take_parents() {
+    return std::move(parents_);
   }
 
  private:
@@ -336,8 +330,7 @@ class FrontierEngine {
   int level_ = 0;
   std::vector<std::size_t> level_sizes_;
   std::vector<std::vector<PrefixState>> levels_;
-  std::vector<std::vector<std::pair<int, int>>> first_parent_;
-  std::vector<std::vector<std::vector<int>>> children_;
+  std::vector<std::vector<std::pair<int, int>>> parents_;
 };
 
 }  // namespace topocon

@@ -262,13 +262,9 @@ DepthAnalysis ShardSet::analyze(int depth) {
     analysis.levels[u].reserve(offsets[u][num_roots]);
   }
   if (options_.keep_levels) {
-    analysis.first_parent.resize(level_count);
-    analysis.children.resize(level_count - 1);
+    analysis.parent.resize(level_count);
     for (std::size_t u = 0; u < level_count; ++u) {
-      analysis.first_parent[u].reserve(offsets[u][num_roots]);
-      if (u + 1 < level_count) {
-        analysis.children[u].reserve(offsets[u][num_roots]);
-      }
+      analysis.parent[u].reserve(offsets[u][num_roots]);
     }
   }
   struct Range {
@@ -281,11 +277,9 @@ DepthAnalysis ShardSet::analyze(int depth) {
     const std::vector<ViewId>& remap = shards_[r].remap;
     std::vector<std::vector<PrefixState>> taken;
     std::vector<std::vector<std::pair<int, int>>> parents;
-    std::vector<std::vector<std::vector<int>>> children;
     if (spend) {
       taken = engine.take_levels();
-      parents = engine.take_first_parent();
-      children = engine.take_children();
+      parents = engine.take_parents();
     }
     const std::vector<std::vector<PrefixState>>& from =
         spend ? taken : engine.levels();
@@ -298,10 +292,7 @@ DepthAnalysis ShardSet::analyze(int depth) {
       }
       analysis.levels[u].resize(offsets[u][r + 1]);
       if (options_.keep_levels) {
-        analysis.first_parent[u].resize(offsets[u][r + 1]);
-        if (u + 1 < level_count) {
-          analysis.children[u].resize(offsets[u][r + 1]);
-        }
+        analysis.parent[u].resize(offsets[u][r + 1]);
       }
     }
     run_parallel(parallel_for_, ranges.size(), [&](std::size_t i) {
@@ -320,15 +311,9 @@ DepthAnalysis ShardSet::analyze(int depth) {
         }
         if (!options_.keep_levels) continue;
         const auto [parent, letter] = parents[u][k];
-        analysis.first_parent[u][base + k] = {
+        analysis.parent[u][base + k] = {
             parent < 0 ? -1 : parent + static_cast<int>(offsets[u - 1][r]),
             letter};
-        if (u + 1 < level_count) {
-          std::vector<int>& kids = analysis.children[u][base + k];
-          kids = std::move(children[u][k]);
-          const auto shift = static_cast<int>(offsets[u + 1][r]);
-          for (int& child : kids) child += shift;
-        }
       }
     });
   }

@@ -17,8 +17,8 @@
 //
 // Determinism contract: chunk ids are deterministic (frontier order) and
 // every level is concatenated in (root, chunk) order before the pending
-// views are interned in merged order. The merged level (states, links,
-// and even the per-root interner's id assignment order) is therefore
+// views are interned in merged order. The merged level (states, parent
+// column, and even the per-root interner's id assignment order) is therefore
 // identical to a serial scan of the whole level, for EVERY chunk size and
 // EVERY lane count: `chunk_states` is an execution knob like the thread
 // count and can never change a result, a verdict, or a byte of serialized
@@ -36,7 +36,9 @@
 // them the ids a serial loop in that order assigns. The merged level
 // reserves its size from the per-root offsets and is assembled root by
 // root: it grows to root r's end offset, and root r fills its range
-// [offset_r, offset_{r+1}) on the lanes, remapping views as it goes. At
+// [offset_r, offset_{r+1}) on the lanes, remapping views as it goes and,
+// under keep_levels, shifting its parent indices by its offset in the
+// level above (the parent column is the only tree link). At
 // the deepest depth the set serves (AnalysisOptions::depth), root r's
 // levels are moved out of its engine, not copied, and freed before root
 // r + 1 grows the merged level, so each level exists once, in the engine
@@ -53,7 +55,7 @@
 // expand exactly one new level per depth, and absorb only that level's
 // new views into the shared interner (absorb_depth extends each shard's
 // remap). The determinism contract above is unchanged: the levels,
-// links, and shared-interner ids each depth assembles are the ones a
+// parent columns, and shared-interner ids each depth assembles are the ones a
 // fresh pass builds, because both absorb the views one depth at a time in
 // the same (root, private id) order. Only the work counters of
 // telemetry/metrics.hpp drop, as levels are no longer re-expanded. Below

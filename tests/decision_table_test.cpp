@@ -4,6 +4,7 @@
 // exhaustively over all admissible prefixes.
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -151,10 +152,39 @@ TEST(DecisionTable, SaveLoadRoundTrip) {
 }
 
 TEST(DecisionTable, LoadRejectsGarbage) {
-  std::stringstream bad("not-a-table at all");
-  EXPECT_THROW((void)DecisionTable::load(bad), std::runtime_error);
-  std::stringstream truncated("topocon-decision-table-v1\n2 2\ninterner 5\n");
-  EXPECT_THROW((void)DecisionTable::load(truncated), std::runtime_error);
+  const std::string head = "topocon-decision-table-v1\n2 2\n";
+  // Two base views of processes 0 and 1 (ids 0, 1) and a depth-1 view of
+  // process 1 (id 2), then a fourth record under test.
+  const std::string nodes = head + "interner 4\nB 0 0\nB 1 0\nS 1 3 2 0 1\n";
+  const std::string tail = "levels 0\nfractions 0\n";
+  for (const std::string& text : {
+           std::string("not-a-table at all"),
+           head + "interner 5\n",
+           // A step view whose sender count is not its in-mask popcount.
+           head + "interner 2\nB 0 0\nS 0 1 2 0 0\n" + tail,
+           // Counts that would size a container from the stream.
+           head + "interner 0\nlevels 0\nfractions 99999999999\n",
+           head + "interner 0\nlevels 99999999999\n",
+           head + "interner 0\nlevels 1\nlevel 99999999999\n",
+           head + "interner 99999999999\n",
+           head + "interner 1\nS 0 1 99999999999\n",
+           // Negative base process or input.
+           head + "interner 1\nB -1 0\n" + tail,
+           head + "interner 1\nB 0 -1\n" + tail,
+           // Receiver out of range, or missing from its own in-mask.
+           nodes + "S 16 65536 1 0\n" + tail,
+           nodes + "S -1 1 1 0\n" + tail,
+           nodes + "S 0 2 1 1\n" + tail,
+           // Senders out of process order, and at mixed depths.
+           nodes + "S 0 3 2 1 0\n" + tail,
+           nodes + "S 0 3 2 0 2\n" + tail,
+       }) {
+    std::stringstream in(text);
+    EXPECT_THROW((void)DecisionTable::load(in), std::runtime_error) << text;
+  }
+  // The fixture itself is well formed.
+  std::stringstream good(nodes + "S 0 3 2 0 1\n" + tail);
+  EXPECT_NO_THROW((void)DecisionTable::load(good));
 }
 
 TEST(DecisionTable, NoDecisionForUnknownView) {

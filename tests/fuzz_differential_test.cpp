@@ -3,8 +3,9 @@
 // checker (check_solvability_oracle -- the single-scan reference
 // expansion) and through check_solvability on one lane (the calling
 // thread) and on pools at several chunk sizes and thread counts, and ALL
-// of them must agree bit for bit on the verdict, the certified depth, and
-// every per-depth statistic including the interned-view counts. Failure
+// of them must agree bit for bit on the verdict, the certified depth,
+// every per-depth statistic including the interned-view counts, and the
+// decision table of every certified point, byte for byte. Failure
 // messages carry the seed and the point's replayable spec label, so any
 // divergence reproduces with
 //   topocon fuzz --seed=SEED --count=COUNT --n=N
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,10 +39,27 @@ std::string replay_hint(const scenario::FuzzSpec& spec) {
          " --depth=" + std::to_string(spec.depth);
 }
 
-/// Asserts result equality on every field of the determinism contract.
+std::string saved(const DecisionTable& table) {
+  std::ostringstream out;
+  table.save(out);
+  return out.str();
+}
+
+/// Asserts result equality on every field of the determinism contract,
+/// the certificate included: its presence, its per-round entry counts,
+/// and its whole serialized text (entries, fractions, and the interner
+/// it references).
 void expect_same_result(const SolvabilityResult& oracle,
                         const SolvabilityResult& candidate,
                         const std::string& context) {
+  ASSERT_EQ(candidate.table.has_value(), oracle.table.has_value())
+      << context;
+  if (oracle.table) {
+    EXPECT_EQ(candidate.table->entries_per_round(),
+              oracle.table->entries_per_round())
+        << context;
+    EXPECT_EQ(saved(*candidate.table), saved(*oracle.table)) << context;
+  }
   EXPECT_EQ(candidate.verdict, oracle.verdict) << context;
   EXPECT_EQ(candidate.certified_depth, oracle.certified_depth) << context;
   EXPECT_EQ(candidate.closure_only, oracle.closure_only) << context;
@@ -62,11 +81,15 @@ void expect_same_result(const SolvabilityResult& oracle,
 void run_differential(const scenario::FuzzSpec& spec) {
   const std::vector<FamilyPoint> points = scenario::fuzz_points(spec);
   ASSERT_EQ(points.size(), static_cast<std::size_t>(spec.count));
-  const SolvabilityOptions options = scenario::fuzz_solve_options(spec.n);
+  SolvabilityOptions options = scenario::fuzz_solve_options(spec.n);
+  // Certify every separated point, so the keep_levels pass, its parent
+  // offsets, and the table fold are differentially checked too.
+  options.build_table = true;
   sweep::ThreadPool pool1(1);
   sweep::ThreadPool pool2(2);
   sweep::ThreadPool pool8(8);
   sweep::ThreadPool* const pools[] = {&pool1, &pool2, &pool8};
+  std::size_t tables = 0;
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     const FamilyPoint& point = points[i];
@@ -77,6 +100,7 @@ void run_differential(const scenario::FuzzSpec& spec) {
     const auto adversary = make_family_adversary(point);
     const SolvabilityResult oracle =
         check_solvability_oracle(*adversary, options);
+    if (oracle.table) ++tables;
 
     expect_same_result(oracle, check_solvability(*adversary, options),
                        context + " (1 lane)");
@@ -94,6 +118,7 @@ void run_differential(const scenario::FuzzSpec& spec) {
       }
     }
   }
+  EXPECT_GT(tables, 0u) << "no fuzzed point certified a table";
 }
 
 TEST(FuzzDifferential, FortyComposedPointsAtTwoProcesses) {

@@ -1,10 +1,11 @@
 // Equivalence of the parallel shard assembly with the serial reference:
 // the parallel absorb, the range assembly, and the array-indexed
 // components must reproduce analyze_depth_oracle / check_solvability_oracle
-// field for field -- leaf order, links, labels, component summaries, and
-// the shared interner node by node -- at threads {1, 4} x chunk {1,
-// default}, for one-shot, iterative, keep_levels, and truncated passes
-// under the min and a P-view topology.
+// field for field -- leaf order, the parent column (which must also be
+// parent-ordered), labels, component summaries, and the shared interner
+// node by node -- at threads {1, 4} x chunk {1, default}, for one-shot,
+// iterative, keep_levels, and truncated passes under the min and a
+// P-view topology.
 #include <algorithm>
 #include <cstddef>
 #include <functional>
@@ -14,6 +15,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +55,31 @@ void expect_same_interner(const ViewInterner& expected,
   }
 }
 
+// The invariant DecisionTable::build's fold relies on: every level is
+// its emissions in frontier order, so parent indices never decrease and
+// letters strictly increase within one parent's run. Checked on the
+// assembled levels, so the per-root parent offsets are covered too.
+void expect_parent_ordered(const DepthAnalysis& analysis,
+                           const std::string& ctx) {
+  for (std::size_t s = 1; s < analysis.parent.size(); ++s) {
+    const std::vector<std::pair<int, int>>& parent = analysis.parent[s];
+    ASSERT_EQ(parent.size(), analysis.levels[s].size()) << ctx;
+    for (std::size_t j = 0; j < parent.size(); ++j) {
+      const auto [p, letter] = parent[j];
+      ASSERT_GE(p, 0) << ctx << " level " << s << " state " << j;
+      ASSERT_LT(static_cast<std::size_t>(p), analysis.levels[s - 1].size())
+          << ctx << " level " << s << " state " << j;
+      if (j == 0) continue;
+      const auto [prev, prev_letter] = parent[j - 1];
+      ASSERT_LE(prev, p) << ctx << " level " << s << " state " << j;
+      if (prev == p) {
+        ASSERT_LT(prev_letter, letter)
+            << ctx << " level " << s << " state " << j;
+      }
+    }
+  }
+}
+
 void expect_same_analysis(const DepthAnalysis& expected,
                           const DepthAnalysis& got, const std::string& ctx) {
   EXPECT_EQ(got.depth, expected.depth) << ctx;
@@ -70,8 +97,8 @@ void expect_same_analysis(const DepthAnalysis& expected,
       ASSERT_EQ(b.adv_state, a.adv_state) << ctx << " level " << s;
     }
   }
-  EXPECT_EQ(got.first_parent, expected.first_parent) << ctx;
-  EXPECT_EQ(got.children, expected.children) << ctx;
+  EXPECT_EQ(got.parent, expected.parent) << ctx;
+  expect_parent_ordered(got, ctx);
   EXPECT_EQ(got.leaf_component, expected.leaf_component) << ctx;
   EXPECT_EQ(got.components, expected.components) << ctx;
   EXPECT_EQ(got.valence_separated, expected.valence_separated) << ctx;

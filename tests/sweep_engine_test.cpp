@@ -97,8 +97,7 @@ void expect_analysis_equal(const DepthAnalysis& serial,
       EXPECT_EQ(a.adv_state, b.adv_state);
     }
   }
-  EXPECT_EQ(serial.first_parent, parallel.first_parent);
-  EXPECT_EQ(serial.children, parallel.children);
+  EXPECT_EQ(serial.parent, parallel.parent);
   EXPECT_EQ(serial.leaf_component, parallel.leaf_component);
   ASSERT_EQ(serial.components.size(), parallel.components.size());
   for (std::size_t c = 0; c < serial.components.size(); ++c) {
