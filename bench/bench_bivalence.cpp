@@ -33,7 +33,7 @@ void print_series(std::ostream& out, const sweep::JobOutcome& outcome) {
 
 void print_report(std::ostream& out) {
   out << "== E4: bivalence survival per depth (Section 6.1)\n\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   AnalysisOptions to7;
   to7.depth = 7;
   to7.keep_levels = false;

@@ -6,8 +6,8 @@
 // global registry for --sweep-json).
 //
 // Sweep plumbing (parsed before google-benchmark sees argv):
-//   --sweep-threads=N    session thread count for the report's sweeps
-//                        (default: hardware_concurrency)
+//   --sweep-threads=N    thread count of the report's Session and of the
+//                        benchmarks' pools (default: hardware_concurrency)
 //   --sweep-json=PATH    dump all sweeps run by the report as JSON; the
 //                        document is byte-identical for every N
 #pragma once
@@ -22,6 +22,11 @@
 #include "runtime/sweep/cli.hpp"
 
 namespace topocon {
+
+/// --sweep-threads of this binary, for its report's Session and its
+/// benchmarks' pools (google-benchmark calls benchmarks without it). Set
+/// once by TOPOCON_BENCH_MAIN before either runs.
+inline int bench_threads = 0;
 
 /// Process-lifetime peak resident set in bytes (getrusage ru_maxrss is
 /// KiB on Linux); 0 when unavailable. Attached to benchmark rows as the
@@ -59,6 +64,7 @@ inline bool wants_report(int argc, char** argv,
   int main(int argc, char** argv) {                                      \
     const topocon::sweep::SweepCliOptions sweep_options =                \
         topocon::sweep::consume_sweep_args(&argc, argv);                 \
+    topocon::bench_threads = sweep_options.num_threads;                 \
     if (topocon::wants_report(argc, argv, sweep_options)) {              \
       print_report(std::cout);                                           \
     }                                                                    \

@@ -39,7 +39,7 @@ void print_series(std::ostream& out, const sweep::JobOutcome& outcome) {
 void print_report(std::ostream& out) {
   out << "== E6: epsilon-approximation convergence (Section 6.2, "
          "Figure 4)\n\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   std::vector<api::Query> queries;
   AnalysisOptions to8;
   to8.depth = 8;

@@ -18,7 +18,7 @@ using namespace topocon;
 
 void print_report(std::ostream& out) {
   out << "== E3: lossy-link solvability table (n = 2, Section 6.1)\n\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   std::vector<api::Query> queries;
   SolvabilityOptions options;
   options.max_depth = 8;

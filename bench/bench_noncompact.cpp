@@ -52,7 +52,7 @@ void print_report(std::ostream& out) {
   out << "\n(2) Closure analysis: merged at every depth (the "
          "epsilon-approximation\n    cannot certify this solvable "
          "adversary):\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   AnalysisOptions closure_options;
   closure_options.depth = 3;
   closure_options.keep_levels = false;

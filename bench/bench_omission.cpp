@@ -94,7 +94,7 @@ void sweep(std::ostream& out, api::Session& session, int n, int max_f,
 
 void print_report(std::ostream& out) {
   out << "== E5: Santoro-Widmayer omission sweep (Section 6.1, [21, 22])\n\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   sweep(out, session, 2, 2, 6, 2'000'000);
   sweep(out, session, 3, 4, 3, 6'000'000);
   out << "Expected shape: solvable exactly for f <= n-2; FloodMin(n-1)\n"
@@ -127,7 +127,7 @@ void BM_ParallelCheckOmission(benchmark::State& state) {
   options.max_depth = n == 2 ? 5 : 2;
   options.max_states = 6'000'000;
   options.build_table = false;
-  sweep::ThreadPool pool(sweep::default_num_threads());
+  sweep::ThreadPool pool(bench_threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         check_solvability(*ma, options, pool.as_parallel_for()));
@@ -137,7 +137,7 @@ void BM_ParallelCheckOmission(benchmark::State& state) {
 BENCHMARK(BM_ParallelCheckOmission)->Args({3, 1})->Args({3, 2});
 
 // The same check with sub-root sharding forced to `chunk` states per
-// expansion chunk (0 = the process default): measures the frontier
+// expansion chunk (0 = kDefaultChunkStates): measures the frontier
 // engine's chunking overhead at one lane and its load-balance win at
 // --sweep-threads > 1. Results are identical for every chunk size.
 void BM_ChunkedCheckOmission(benchmark::State& state) {
@@ -149,7 +149,7 @@ void BM_ChunkedCheckOmission(benchmark::State& state) {
   options.max_depth = n == 2 ? 5 : 2;
   options.max_states = 6'000'000;
   options.build_table = false;
-  sweep::ThreadPool pool(sweep::default_num_threads());
+  sweep::ThreadPool pool(bench_threads);
   ShardingOptions sharding;
   sharding.chunk_states = chunk;
   for (auto _ : state) {

@@ -42,7 +42,7 @@ void profile(std::ostream& out, const sweep::JobOutcome& outcome) {
 
 void print_report(std::ostream& out) {
   out << "== E9: universal algorithm (Theorem 5.5) cost profile\n\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   std::vector<api::Query> queries;
   SolvabilityOptions to6;
   to6.max_depth = 6;

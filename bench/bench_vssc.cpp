@@ -79,7 +79,7 @@ void sweep(std::ostream& out, api::Session& session, int n, int max_k) {
 
 void print_report(std::ostream& out) {
   out << "== E8: VSSC stability sweep (Section 6.3, [6, 23])\n\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   sweep(out, session, 2, 7);
   sweep(out, session, 3, 10);
   out << "Expected shape: closure NOT-SEPARATED for every k (prefix\n"

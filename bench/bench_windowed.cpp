@@ -19,7 +19,7 @@ using namespace topocon;
 void print_report(std::ostream& out) {
   out << "== E11 (ablation): repetition windows vs lossy-link "
          "solvability\n\n";
-  api::Session session;
+  api::Session session({.num_threads = bench_threads});
   std::vector<api::Query> windows;
   SolvabilityOptions window_options;
   window_options.max_depth = 8;

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   // One session provides both the raw fixed-depth analysis (via its
   // pool) and the solvability verdict (via a query).
-  api::Session session;
+  api::Session session({.num_threads = sweep_options.num_threads});
   AnalysisOptions options;
   options.depth = depth;
   const DepthAnalysis analysis = analyze_depth(

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  api::Session session;
+  api::Session session({.num_threads = sweep_options.num_threads});
   std::cout << "Omission sweep, n = " << n << " (" << session.num_threads()
             << " thread(s))\n\n";
   const int max_f = n * (n - 1);

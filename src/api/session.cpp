@@ -11,9 +11,7 @@ void Observer::on_job_telemetry(std::size_t, const telemetry::JobTelemetry&) {}
 void Observer::on_job_done(std::size_t, const sweep::JobOutcome&) {}
 
 Session::Session(SessionOptions options)
-    : options_(options),
-      pool_(options.num_threads > 0 ? options.num_threads
-                                    : sweep::default_num_threads()) {}
+    : options_(options), pool_(options.num_threads) {}
 
 std::vector<sweep::JobOutcome> Session::run(const std::string& name,
                                             const std::vector<Query>& queries,
@@ -30,6 +28,7 @@ std::vector<sweep::JobOutcome> Session::run(const std::string& name,
   hooks.collect_telemetry =
       options_.collect_telemetry || options_.telemetry_in_records;
   hooks.trace = options_.trace;
+  hooks.chunk_states = options_.chunk_states;
   const bool telemetry_active =
       hooks.collect_telemetry || hooks.trace != nullptr;
   if (observer != nullptr) {

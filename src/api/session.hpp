@@ -23,8 +23,7 @@
 //
 // Streaming: an Observer watches a run as it executes -- job start, each
 // completed expansion chunk (the frontier engine's finest-grained
-// signal, for progress display), each completed depth, job completion --
-// generalizing the single on_job_done checkpoint hook of SweepSpec.
+// signal, for progress display), each completed depth, job completion.
 // Callbacks arrive serialized (no locking needed inside) but in
 // completion order; key on the job index, never on arrival order.
 // Observers cannot change results.
@@ -48,9 +47,13 @@
 namespace topocon::api {
 
 struct SessionOptions {
-  /// Pool size; 0 = sweep::default_num_threads() (--sweep-threads or
-  /// hardware concurrency). Results never depend on this.
+  /// Pool size; 0 = every core (sweep::resolve_threads). Results never
+  /// depend on this.
   int num_threads = 0;
+  /// Frontier states per expansion chunk of every job (0 =
+  /// kDefaultChunkStates; `topocon --chunk`). Results never depend on
+  /// this either.
+  std::size_t chunk_states = 0;
   /// Mirror every named run into the process-global sweep::SweepRegistry
   /// (the --sweep-json surface of the bench binaries). The registry still
   /// applies its own enabled() gate.

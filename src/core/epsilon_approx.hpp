@@ -104,9 +104,9 @@ using ChunkProgressFn = std::function<void(const ChunkProgress&)>;
 /// thread count, these can never change any result.
 struct ShardingOptions {
   /// Maximum frontier states per expansion chunk; heavy roots split into
-  /// ceil(frontier / chunk_states) chunks per level. 0 = the process
-  /// default (default_chunk_states() in core/frontier.hpp). 1 = finest
-  /// sharding (one chunk per state), used by the determinism tests.
+  /// ceil(frontier / chunk_states) chunks per level. 0 =
+  /// kDefaultChunkStates (core/frontier.hpp). 1 = finest sharding (one
+  /// chunk per state), used by the determinism tests.
   std::size_t chunk_states = 0;
   /// Streaming per-chunk progress. Invoked under an internal mutex,
   /// possibly from other lanes, once per completed chunk; purely

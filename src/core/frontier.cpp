@@ -23,19 +23,7 @@ std::size_t hash_words(const std::uint32_t* words, std::size_t count) {
   return h;
 }
 
-std::atomic<std::size_t> g_default_chunk_states{0};
-
 }  // namespace
-
-void set_default_chunk_states(std::size_t chunk_states) {
-  g_default_chunk_states.store(chunk_states, std::memory_order_relaxed);
-}
-
-std::size_t default_chunk_states() {
-  const std::size_t configured =
-      g_default_chunk_states.load(std::memory_order_relaxed);
-  return configured > 0 ? configured : kDefaultChunkStates;
-}
 
 int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
                          bool* inserted) {

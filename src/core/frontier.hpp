@@ -67,12 +67,9 @@ struct FrontierChunk {
   std::size_t end = 0;
 };
 
-/// Process-wide default for ShardingOptions::chunk_states == 0: set from
-/// the CLI (`topocon --chunk=N`); 0 (the initial value) resolves to the
-/// built-in kDefaultChunkStates.
+/// Chunk size of the level driver when ShardingOptions::chunk_states is
+/// 0 (the ShardSet constructor resolves it).
 inline constexpr std::size_t kDefaultChunkStates = 4096;
-void set_default_chunk_states(std::size_t chunk_states);
-std::size_t default_chunk_states();
 
 /// Fixed-width bit layout of the engine's pending view keys, derived
 /// once per level from quantities that are constant while that level

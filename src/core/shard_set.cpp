@@ -77,7 +77,7 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
       interner_(interner ? std::move(interner)
                          : std::make_shared<ViewInterner>()),
       chunk_states_(sharding.chunk_states > 0 ? sharding.chunk_states
-                                              : default_chunk_states()),
+                                              : kDefaultChunkStates),
       on_chunk_(sharding.on_chunk),
       shards_(all_input_vectors(adversary.num_processes(),
                                 options.num_values)

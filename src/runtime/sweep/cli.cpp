@@ -65,8 +65,7 @@ SweepCliOptions consume_sweep_args(int* argc, char** argv) {
       // consumption; fail the process cleanly instead of letting the
       // invalid_argument escape to std::terminate.
       try {
-        set_default_num_threads(
-            parse_threads_value("sweep-threads", *threads));
+        options.num_threads = parse_threads_value("sweep-threads", *threads);
       } catch (const std::invalid_argument& error) {
         std::fprintf(stderr, "sweep: %s\n", error.what());
         std::exit(2);
@@ -74,6 +73,10 @@ SweepCliOptions consume_sweep_args(int* argc, char** argv) {
       continue;
     }
     if (const auto path = flag_value(arg, "sweep-json")) {
+      if (path->empty()) {
+        std::fprintf(stderr, "sweep: --sweep-json needs a non-empty path\n");
+        std::exit(2);
+      }
       options.json_path = *path;
       SweepRegistry::instance().set_enabled(true);
       continue;

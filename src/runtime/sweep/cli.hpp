@@ -34,13 +34,16 @@ std::uint64_t parse_uint64_value(std::string_view flag,
 
 /// Options consumed by consume_sweep_args.
 struct SweepCliOptions {
+  /// --sweep-threads: the caller's Session and pool size (0 = every
+  /// core).
+  int num_threads = 0;
   /// Destination of the registry dump; empty = no dump.
   std::string json_path;
 };
 
 /// Strips --sweep-threads=N and --sweep-json=PATH from argv (so they can
-/// precede google-benchmark's own argument parsing) and applies the
-/// thread default immediately.
+/// precede google-benchmark's own argument parsing). A malformed value
+/// or an empty --sweep-json path exits the process with code 2.
 SweepCliOptions consume_sweep_args(int* argc, char** argv);
 
 /// Writes the registry to options.json_path if set. Returns false (after

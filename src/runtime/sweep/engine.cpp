@@ -1,7 +1,6 @@
 #include "runtime/sweep/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <ostream>
@@ -17,8 +16,6 @@ namespace {
 /// Components above this count are aggregated in JSON to keep documents
 /// bounded; the elision is recorded explicitly (components_elided).
 constexpr std::size_t kMaxJsonComponents = 64;
-
-std::atomic<int> g_default_threads{0};
 
 void write_telemetry_counters(JsonWriter& writer,
                               const telemetry::TelemetryCounters& counters) {
@@ -214,14 +211,6 @@ std::optional<JobKind> parse_job_kind(std::string_view name) {
   return std::nullopt;
 }
 
-void set_default_num_threads(int threads) {
-  g_default_threads.store(threads, std::memory_order_relaxed);
-}
-
-int default_num_threads() {
-  return resolve_threads(g_default_threads.load(std::memory_order_relaxed));
-}
-
 std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
                                      const SweepHooks& hooks) {
   std::vector<JobOutcome> outcomes(spec.jobs.size());
@@ -255,6 +244,7 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
       };
     }
     ShardingOptions sharding;
+    sharding.chunk_states = hooks.chunk_states;
     if (hooks.on_chunk) {
       sharding.on_chunk = [&, j](const ChunkProgress& progress) {
         const std::lock_guard<std::mutex> lock(hook_mutex);
@@ -301,10 +291,9 @@ std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
         hooks.on_job_telemetry(j, *outcome.telemetry);
       }
     }
-    if (hooks.on_job_done || spec.on_job_done) {
+    if (hooks.on_job_done) {
       const std::lock_guard<std::mutex> lock(hook_mutex);
-      if (hooks.on_job_done) hooks.on_job_done(j, outcome);
-      if (spec.on_job_done) spec.on_job_done(j, outcome);
+      hooks.on_job_done(j, outcome);
     }
   });
 

@@ -95,14 +95,6 @@ struct SweepSpec {
   /// Name under which the outcomes are recorded (JSON "name" field).
   std::string name;
   std::vector<SweepJob> jobs;
-  /// Incremental-checkpoint hook: invoked as each job finishes, with its
-  /// index into `jobs` and the finished outcome. Calls are serialized by
-  /// an engine-internal mutex but arrive in completion order, which
-  /// depends on the thread count -- checkpoint consumers must therefore
-  /// key on the job index, never on arrival order. Superseded by
-  /// SweepHooks::on_job_done (api::Observer); kept for compatibility and
-  /// honored alongside it.
-  std::function<void(std::size_t, const JobOutcome&)> on_job_done;
 };
 
 /// Streaming hooks into a running sweep -- the engine-level form of
@@ -132,6 +124,9 @@ struct SweepHooks {
   /// Chrome-trace span writer shared by every job of the sweep
   /// (telemetry/trace.hpp); must outlive the run. Null = no tracing.
   telemetry::TraceWriter* trace = nullptr;
+  /// Every job's ShardingOptions::chunk_states (0 = kDefaultChunkStates).
+  /// Like the thread count, it never changes a result.
+  std::size_t chunk_states = 0;
 };
 
 /// Runs all jobs of the spec on an existing pool. Outcomes are indexed
@@ -139,16 +134,10 @@ struct SweepHooks {
 /// calling thread. Does NOT record into the global registry -- callers
 /// that retain outcomes do so themselves (api::Session records into its
 /// own history). Inside every job the level driver (core/shard_set.hpp)
-/// chunk-shards the expansion over `pool` with the process-default
-/// chunk size (default_chunk_states(), core/frontier.hpp).
+/// chunk-shards the expansion over `pool` in chunks of
+/// hooks.chunk_states.
 std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
                                      const SweepHooks& hooks = {});
-
-/// Default thread count for api::Session and the examples: set from
-/// --sweep-threads; 0 (the initial value) resolves to
-/// hardware_concurrency().
-void set_default_num_threads(int threads);
-int default_num_threads();
 
 /// What the registry retains (and the JSON contains) per job: the
 /// aggregate statistics only, never the heavyweight analysis levels or

@@ -1,6 +1,8 @@
 #include "runtime/sweep/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
+#include <system_error>
 
 namespace topocon::sweep {
 
@@ -12,12 +14,23 @@ int resolve_threads(int requested) {
 
 ThreadPool::ThreadPool(int threads) : num_threads_(resolve_threads(threads)) {
   workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-  for (int i = 1; i < num_threads_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (int i = 1; i < num_threads_; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (const std::system_error& error) {
+    // No destructor runs for a half-built pool, and destroying a
+    // joinable std::thread terminates the process.
+    stop_and_join();
+    throw std::system_error(error.code(), "cannot start " +
+                                              std::to_string(num_threads_) +
+                                              " threads");
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     stop_ = true;

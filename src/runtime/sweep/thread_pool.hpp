@@ -33,7 +33,9 @@ class ThreadPool {
  public:
   /// A pool of `threads` execution lanes total: `threads - 1` workers are
   /// spawned and the thread calling parallel_for is the last lane.
-  /// threads = 0 resolves to hardware_concurrency().
+  /// threads = 0 resolves to hardware_concurrency(). When a worker
+  /// cannot start, joins the ones that did and throws std::system_error
+  /// ("cannot start N threads: <reason>").
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 
@@ -75,6 +77,7 @@ class ThreadPool {
   bool run_one(std::unique_lock<std::mutex>& lock);
 
   void worker_loop();
+  void stop_and_join();
 
   std::mutex mutex_;
   std::condition_variable cv_;  // new work and batch completions

@@ -44,7 +44,7 @@ namespace topocon::service {
 
 struct ServeOptions {
   std::string socket_path;
-  /// Session pool size; 0 = sweep::default_num_threads().
+  /// Session pool size; 0 = every core (sweep::resolve_threads).
   int num_threads = 0;
   /// Queued (not yet running) submissions beyond which submits are
   /// rejected as overloaded.

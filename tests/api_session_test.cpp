@@ -2,15 +2,17 @@
 // decision-table extraction query, and the Session-reuse determinism
 // contract -- two consecutive run() calls on one Session produce
 // byte-identical artifacts to two fresh Sessions, at 1 and 4 threads.
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/api.hpp"
-#include "core/frontier.hpp"
 #include "core/solvability.hpp"
 
 namespace topocon {
@@ -170,13 +172,51 @@ TEST(ApiSession, ObserverStreamsChunkProgressAndItNeverChangesResults) {
   // Force the finest sub-root sharding; the document must not change.
   Session base({.num_threads = 2, .record_global = false});
   base.run("chunked", mixed_queries());
-  set_default_chunk_states(1);
-  Session session({.num_threads = 2, .record_global = false});
+  Session session(
+      {.num_threads = 2, .chunk_states = 1, .record_global = false});
   ChunkObserver observer;
   session.run("chunked", mixed_queries(), &observer);
-  set_default_chunk_states(0);
   EXPECT_GT(observer.chunk_events, 0);
   EXPECT_EQ(history_json(session), history_json(base));
+}
+
+TEST(ApiSession, ConcurrentSessionsKeepTheirOwnChunkSize) {
+  class LevelObserver : public api::Observer {
+   public:
+    void on_depth(std::size_t, const ChunkProgress& progress) override {
+      levels.emplace_back(progress.chunks_total, progress.frontier_states);
+    }
+    // (chunks_total, frontier_states) of every chunk event.
+    std::vector<std::pair<std::size_t, std::size_t>> levels;
+  };
+
+  // One Session at the finest chunking and one at the default, running
+  // at the same time: each keeps its own chunk size, and neither changes
+  // a byte of the other's document.
+  Session finest(
+      {.num_threads = 2, .chunk_states = 1, .record_global = false});
+  Session coarse({.num_threads = 2, .record_global = false});
+  LevelObserver finest_levels;
+  LevelObserver coarse_levels;
+  std::thread finest_run(
+      [&] { finest.run("concurrent", mixed_queries(), &finest_levels); });
+  std::thread coarse_run(
+      [&] { coarse.run("concurrent", mixed_queries(), &coarse_levels); });
+  finest_run.join();
+  coarse_run.join();
+
+  EXPECT_EQ(history_json(finest), history_json(coarse));
+  ASSERT_FALSE(finest_levels.levels.empty());
+  for (const auto& [chunks, states] : finest_levels.levels) {
+    EXPECT_EQ(chunks, states);
+  }
+  ASSERT_FALSE(coarse_levels.levels.empty());
+  EXPECT_TRUE(std::any_of(coarse_levels.levels.begin(),
+                          coarse_levels.levels.end(), [](const auto& level) {
+                            return level.first < level.second;
+                          }))
+      << "no level of the default-chunked Session had fewer chunks than "
+         "states";
 }
 
 TEST(ApiSession, DecisionTableQueryRecordsTheCertificateShape) {

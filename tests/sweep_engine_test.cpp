@@ -550,9 +550,12 @@ std::string spec_json(const std::vector<JobOutcome>& outcomes) {
   return out.str();
 }
 
-std::vector<JobOutcome> run_small_spec(int threads) {
+std::vector<JobOutcome> run_small_spec(int threads,
+                                       std::size_t chunk_states = 0) {
   ThreadPool pool(threads);
-  return sweep::run_sweep_on(small_spec(), pool);
+  sweep::SweepHooks hooks;
+  hooks.chunk_states = chunk_states;
+  return sweep::run_sweep_on(small_spec(), pool, hooks);
 }
 
 TEST(RunSweepOn, DeterministicOrderingAndJsonAcrossThreadCounts) {
@@ -571,25 +574,25 @@ TEST(RunSweepOn, DeterministicOrderingAndJsonAcrossThreadCounts) {
 
 TEST(RunSweepOn, JsonIdenticalUnderFinestChunking) {
   const std::string base_json = spec_json(run_small_spec(2));
-  set_default_chunk_states(1);
-  const std::string chunked_json = spec_json(run_small_spec(2));
-  set_default_chunk_states(0);
+  const std::string chunked_json =
+      spec_json(run_small_spec(2, /*chunk_states=*/1));
   EXPECT_EQ(chunked_json, base_json);
 }
 
 TEST(RunSweepOn, OnJobDoneHookSeesEveryJobExactlyOnceWithFinalAggregates) {
   for (const int threads : {1, 4}) {
-    SweepSpec spec = small_spec();
+    const SweepSpec spec = small_spec();
     std::vector<int> calls(spec.jobs.size(), 0);
     std::vector<sweep::JobRecord> from_hook(spec.jobs.size());
-    spec.on_job_done = [&](std::size_t j, const JobOutcome& outcome) {
+    sweep::SweepHooks hooks;
+    hooks.on_job_done = [&](std::size_t j, const JobOutcome& outcome) {
       // Serialized by the engine's internal mutex; j indexes spec.jobs.
       ++calls[j];
       from_hook[j] = sweep::summarize(outcome);
     };
     ThreadPool pool(threads);
     const std::vector<JobOutcome> outcomes =
-        sweep::run_sweep_on(spec, pool);
+        sweep::run_sweep_on(spec, pool, hooks);
     ASSERT_EQ(outcomes.size(), from_hook.size());
     for (std::size_t j = 0; j < outcomes.size(); ++j) {
       EXPECT_EQ(calls[j], 1) << "job " << j << " at " << threads;

@@ -85,12 +85,12 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "adversary/family.hpp"
 #include "analysis/report.hpp"
 #include "api/api.hpp"
-#include "core/frontier.hpp"
 #include "core/solvability.hpp"
 #include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
@@ -249,7 +249,7 @@ enum class Format { kTable, kCsv };
 
 struct RunFlags {
   int threads = 0;
-  int chunk = 0;  // 0 = default_chunk_states()
+  int chunk = 0;  // 0 = kDefaultChunkStates
   std::string json_path;
   Format format = Format::kTable;
   scenario::GridOverrides overrides;
@@ -758,14 +758,12 @@ int cmd_run(const std::string& name, const RunFlags& flags) {
     return 2;
   }
 
-  if (flags.chunk > 0) {
-    set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
-  }
   std::ofstream trace_out;
   std::optional<telemetry::TraceWriter> trace;
   if (!open_trace(flags.trace_path, &trace_out, &trace)) return 1;
   api::Session session(
       {.num_threads = flags.threads,
+       .chunk_states = static_cast<std::size_t>(flags.chunk),
        .record_global = false,
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = flags.telemetry_json,
@@ -945,9 +943,6 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
     return 1;
   }
   sweep::CheckpointWriter ckpt(ckpt_out);
-  if (flags.chunk > 0) {
-    set_default_chunk_states(static_cast<std::size_t>(flags.chunk));
-  }
   // The document shape travels with the checkpoint (make_header), not the
   // command line: a --telemetry-json run resumes with telemetry sections
   // automatically, and stays byte-identical to an uninterrupted run.
@@ -960,6 +955,7 @@ int cmd_resume(const std::string& path, const RunFlags& flags) {
   if (!open_trace(flags.trace_path, &trace_out, &trace)) return 1;
   api::Session session(
       {.num_threads = flags.threads,
+       .chunk_states = static_cast<std::size_t>(flags.chunk),
        .record_global = false,
        .collect_telemetry = flags.metrics,
        .telemetry_in_records = telemetry_json,
@@ -1629,9 +1625,7 @@ int cmd_client(int argc, char** argv) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int dispatch(int argc, char** argv) {
   if (argc < 2) return usage(std::cerr, 2);
   const std::string_view command = argv[1];
   if (command == "help" || command == "--help" || command == "-h") {
@@ -1680,4 +1674,17 @@ int main(int argc, char** argv) {
   }
   std::cerr << "topocon: unknown command '" << command << "'\n";
   return usage(std::cerr, 2);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return dispatch(argc, argv);
+  } catch (const std::system_error& error) {
+    // A system error, say a pool that cannot start its threads under an
+    // address-space cap ("cannot start N threads: ..."), is not an abort.
+    std::cerr << "topocon: " << error.what() << "\n";
+    return 1;
+  }
 }
