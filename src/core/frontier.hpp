@@ -67,8 +67,8 @@ struct FrontierChunk {
   std::size_t end = 0;
 };
 
-/// Chunk size of the level driver when ShardingOptions::chunk_states is
-/// 0 (the ShardSet constructor resolves it).
+/// Chunk size a ShardSet uses when ShardingOptions::chunk_states is 0
+/// (its constructor resolves it).
 inline constexpr std::size_t kDefaultChunkStates = 4096;
 
 /// Fixed-width bit layout of the engine's pending view keys, derived
