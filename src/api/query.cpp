@@ -250,18 +250,6 @@ sweep::SweepJob to_sweep_job(const Query& query) {
   return job;
 }
 
-Query from_sweep_job(const sweep::SweepJob& job) {
-  switch (job.kind) {
-    case sweep::JobKind::kSolvability:
-      return SolvabilityQuery{job.point, job.solve};
-    case sweep::JobKind::kDepthSeries:
-      return DepthSeriesQuery{job.point, job.analysis};
-    case sweep::JobKind::kDecisionTable:
-      return DecisionTableQuery{job.point, job.solve};
-  }
-  return SolvabilityQuery{job.point, job.solve};
-}
-
 sweep::JsonValue query_to_json(const Query& query) {
   JsonValue object;
   object.kind = JsonValue::Kind::kObject;

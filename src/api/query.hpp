@@ -92,8 +92,6 @@ void validate_query(const Query& query);
 /// Queries and SweepJobs are the same data; the variant is the typed
 /// surface, the job the engine's uniform record.
 sweep::SweepJob to_sweep_job(const Query& query);
-/// Inverse of to_sweep_job (the job's kind selects the variant).
-Query from_sweep_job(const sweep::SweepJob& job);
 
 /// Canonical JSON object of a query (fixed member order). The result
 /// contains only strings, integers, and booleans, so it serializes

@@ -56,9 +56,9 @@ std::vector<PrefixState> initial_frontier(const MessageAdversary& adversary,
   for (int r = first_root; r < last_root; ++r) {
     const InputVector& x = roots[static_cast<std::size_t>(r)];
     PrefixState state;
-    state.inputs = x;
-    state.views = interner.initial(x);
-    state.reach = initial_reach(n);
+    state.inputs.assign(x);
+    state.views.assign(interner.initial(x));
+    state.reach.assign(initial_reach(n));
     state.adv_state = adversary.initial_state();
     frontier.push_back(std::move(state));
   }
@@ -84,8 +84,8 @@ FrontierLevel expand_frontier(const MessageAdversary& adversary,
       if (inserted) {
         PrefixState child;
         child.inputs = parent.inputs;
-        child.views = it->first.views;
-        child.reach = advance_reach(parent.reach, g);
+        child.views.assign(it->first.views);
+        child.reach.assign(advance_reach(parent.reach, g));
         child.adv_state = adv_next;
         level.states.push_back(std::move(child));
         level.parent.emplace_back(static_cast<int>(i), letter);
@@ -347,8 +347,9 @@ std::optional<RunPrefix> reconstruct_prefix(const MessageAdversary& adversary,
   }
   std::reverse(letters.begin(), letters.end());
   RunPrefix prefix;
-  prefix.inputs = analysis.levels[last][static_cast<std::size_t>(leaf_index)]
-                      .inputs;
+  const auto& inputs =
+      analysis.levels[last][static_cast<std::size_t>(leaf_index)].inputs;
+  prefix.inputs.assign(inputs.begin(), inputs.end());
   prefix.graphs.reserve(letters.size());
   for (const int letter : letters) {
     prefix.graphs.push_back(adversary.graph(letter));

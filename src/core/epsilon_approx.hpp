@@ -40,6 +40,7 @@
 
 #include "adversary/adversary.hpp"
 #include "core/parallel_for.hpp"
+#include "core/state_vector.hpp"
 #include "ptg/prefix.hpp"
 #include "ptg/reach.hpp"
 #include "ptg/view_intern.hpp"
@@ -115,13 +116,16 @@ struct ShardingOptions {
 };
 
 /// One admissible prefix (input vector, letter sequence) at some level
-/// of the BFS.
+/// of the BFS. Its three per-process columns are inline for n <= 5
+/// (core/state_vector.hpp), so a state owns no heap block there.
 struct PrefixState {
-  InputVector inputs;
-  ViewVector views;
-  ReachVector reach;
+  StateVector<Value> inputs;
+  StateVector<ViewId> views;
+  StateVector<NodeMask> reach;
   AdvState adv_state = 0;
 };
+// A level holds millions of states: keep the layout from growing back.
+static_assert(sizeof(PrefixState) <= 80);
 
 /// Summary of one connected component of the depth-t universe.
 struct ComponentInfo {

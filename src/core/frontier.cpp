@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 #include <iterator>
+#include <span>
 #include <unordered_map>
 
 #include "telemetry/trace.hpp"
@@ -349,10 +350,10 @@ void FrontierEngine::commit(PendingFrontier level) {
   const std::size_t views_before = interner_->size();
   const auto n = static_cast<std::size_t>(adversary_->num_processes());
   const std::vector<PrefixState>& parents_level = frontier();
-  // The states first, before any view is interned: each state's three
-  // blocks are allocated back to back in level order, not interleaved
-  // with the interner's, so every later pass over the level (assembly,
-  // components, release) walks memory in order.
+  // The states first, before any view is interned: the level is one
+  // block of inline states (core/state_vector.hpp) written in level
+  // order, so every later pass over it (assembly, components, release)
+  // walks memory in order.
   std::vector<PrefixState> next(level.states.size());
   std::vector<std::pair<int, int>> parents;
   if (options_.keep_levels) parents.reserve(level.states.size());
@@ -362,7 +363,7 @@ void FrontierEngine::commit(PendingFrontier level) {
     PrefixState& out = next[s];
     out.inputs =
         parents_level[static_cast<std::size_t>(state.parent)].inputs;
-    out.reach.assign(state_reach, state_reach + n);
+    out.reach.assign(std::span<const NodeMask>(state_reach, n));
     out.adv_state = state.adv_state;
     out.views.resize(n);
     if (options_.keep_levels) parents.emplace_back(state.parent, state.letter);
@@ -387,7 +388,7 @@ void FrontierEngine::commit(PendingFrontier level) {
   std::vector<PrefixState>& installed = levels_.back();
   for (std::size_t s = 0; s < installed.size(); ++s) {
     const std::uint32_t* state_views = level.state_views.data() + s * n;
-    std::vector<ViewId>& views = installed[s].views;
+    StateVector<ViewId>& views = installed[s].views;
     for (std::size_t q = 0; q < n; ++q) {
       ViewId& id = resolved[state_views[q]];
       if (id < 0) {

@@ -137,7 +137,7 @@ NodeMask broadcasters(const Digraph& g) {
 }
 
 std::vector<NodeMask> propagate(const Digraph& g,
-                                const std::vector<NodeMask>& know) {
+                                std::span<const NodeMask> know) {
   const int n = g.num_processes();
   std::vector<NodeMask> next(static_cast<std::size_t>(n), 0);
   for (int q = 0; q < n; ++q) {

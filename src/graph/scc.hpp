@@ -10,6 +10,7 @@
 //    are exactly those in which a single round can originate a broadcast.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -45,6 +46,6 @@ NodeMask broadcasters(const Digraph& g);
 /// round-start information q holds after one round under g, given the sets
 /// `know` held at round start. know[q] and the result always contain q.
 std::vector<NodeMask> propagate(const Digraph& g,
-                                const std::vector<NodeMask>& know);
+                                std::span<const NodeMask> know);
 
 }  // namespace topocon

@@ -19,14 +19,14 @@ std::string RunPrefix::to_string() const {
   return out.str();
 }
 
-bool is_valent(const InputVector& inputs, Value v) {
+bool is_valent(std::span<const Value> inputs, Value v) {
   for (const Value x : inputs) {
     if (x != v) return false;
   }
   return !inputs.empty();
 }
 
-Value uniform_value(const InputVector& inputs) {
+Value uniform_value(std::span<const Value> inputs) {
   if (inputs.empty()) return -1;
   const Value v = inputs.front();
   return is_valent(inputs, v) ? v : -1;

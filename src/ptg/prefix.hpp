@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,10 +32,17 @@ struct RunPrefix {
 };
 
 /// True iff all inputs equal v ("v-valent" starting point z_v, Section 5.1).
-bool is_valent(const InputVector& inputs, Value v);
+bool is_valent(std::span<const Value> inputs, Value v);
+// The InputVector forms take brace lists, which do not convert to a span.
+inline bool is_valent(const InputVector& inputs, Value v) {
+  return is_valent(std::span<const Value>(inputs), v);
+}
 
 /// If the inputs are uniform, returns that value; otherwise -1.
-Value uniform_value(const InputVector& inputs);
+Value uniform_value(std::span<const Value> inputs);
+inline Value uniform_value(const InputVector& inputs) {
+  return uniform_value(std::span<const Value>(inputs));
+}
 
 /// All input vectors over {0, ..., num_values-1}^n, in lexicographic order.
 std::vector<InputVector> all_input_vectors(int n, int num_values);

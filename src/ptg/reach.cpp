@@ -12,7 +12,8 @@ ReachVector initial_reach(int n) {
   return reach;
 }
 
-ReachVector advance_reach(const ReachVector& reach, const Digraph& g) {
+ReachVector advance_reach(std::span<const NodeMask> reach,
+                          const Digraph& g) {
   return propagate(g, reach);
 }
 
@@ -24,7 +25,7 @@ ReachVector reach_of_prefix(const RunPrefix& prefix) {
   return reach;
 }
 
-NodeMask broadcast_complete(const ReachVector& reach) {
+NodeMask broadcast_complete(std::span<const NodeMask> reach) {
   if (reach.empty()) return 0;
   NodeMask common = ~NodeMask{0};
   for (const NodeMask m : reach) {

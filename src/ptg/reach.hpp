@@ -6,6 +6,7 @@
 // round t iff p is in reach_q(t) for every q.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -20,12 +21,12 @@ using ReachVector = std::vector<NodeMask>;
 ReachVector initial_reach(int n);
 
 /// One round of knowledge propagation under graph g.
-ReachVector advance_reach(const ReachVector& reach, const Digraph& g);
+ReachVector advance_reach(std::span<const NodeMask> reach, const Digraph& g);
 
 /// Knowledge masks at the end of a prefix.
 ReachVector reach_of_prefix(const RunPrefix& prefix);
 
 /// Mask of processes whose input is known by *every* process.
-NodeMask broadcast_complete(const ReachVector& reach);
+NodeMask broadcast_complete(std::span<const NodeMask> reach);
 
 }  // namespace topocon

@@ -239,7 +239,8 @@ ViewVector ViewInterner::initial(const InputVector& inputs) {
   return views;
 }
 
-ViewVector ViewInterner::advance(const ViewVector& views, const Digraph& g) {
+ViewVector ViewInterner::advance(std::span<const ViewId> views,
+                                 const Digraph& g) {
   const int n = g.num_processes();
   assert(static_cast<std::size_t>(n) == views.size());
   ViewVector next(views.size());

@@ -88,7 +88,7 @@ class ViewInterner {
   ViewVector initial(const InputVector& inputs);
 
   /// Advances all views by one round under communication graph g.
-  ViewVector advance(const ViewVector& views, const Digraph& g);
+  ViewVector advance(std::span<const ViewId> views, const Digraph& g);
 
   /// Views of all processes at time prefix.length() (applies advance along
   /// the whole prefix).

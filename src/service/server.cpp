@@ -101,8 +101,15 @@ class Server::ExecObserver : public api::Observer {
   std::uint64_t jobs_done_ = 0;
 };
 
+// Telemetry collection is always on -- it feeds the subscriber event
+// stream and never changes the serialized records (telemetry_in_records
+// stays false, so artifacts match `topocon run` byte for byte).
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
+      session_({.num_threads = options_.num_threads,
+                .record_global = false,
+                .collect_telemetry = true,
+                .telemetry_in_records = false}),
       cache_(options_.cache_entries, options_.cache_bytes) {
   // The wake pipe exists for the object's whole lifetime so request_stop
   // works even before (or after) run().
@@ -565,15 +572,6 @@ void Server::publish(const ServeEvent& event) {
 }
 
 void Server::executor_main() {
-  // One warm Session for the daemon's lifetime: the pool amortizes
-  // across submissions (the whole point of serving).
-  // Telemetry collection is always on -- it feeds the subscriber event
-  // stream and never changes the serialized records (telemetry_in_records
-  // stays false, so artifacts match `topocon run` byte for byte).
-  api::Session session({.num_threads = options_.num_threads,
-                        .record_global = false,
-                        .collect_telemetry = true,
-                        .telemetry_in_records = false});
   for (;;) {
     std::uint64_t id = 0;
     api::Plan plan;
@@ -603,14 +601,14 @@ void Server::executor_main() {
     std::string error;
     try {
       ExecObserver observer(this, id, plan.queries.size());
-      session.run(plan.name, plan.queries, &observer);
+      session_.run(plan.name, plan.queries, &observer);
       const std::vector<sweep::JobRecord>& records =
-          session.history().back().second;
+          session_.history().back().second;
       artifact = render_artifact(plan.name, records);
       // History growth is unbounded across a daemon's life, so the
       // Session keeps none; the outcomes die here, and their interners
       // with them.
-      session.clear_history();
+      session_.clear_history();
     } catch (const std::exception& e) {
       error = e.what();
     }

@@ -1,14 +1,15 @@
 // The topocon serve daemon: one poll()-based I/O loop on a Unix-domain
-// socket plus one executor thread that owns the shared api::Session.
+// socket plus one executor thread that runs the shared api::Session.
 //
 // Threading model (two threads, three queues):
 //
 //   I/O thread       parses request lines, runs admission control, and
 //                    owns every connection, subscription, and output
 //                    buffer. It never computes.
-//   executor thread  owns the api::Session (Sessions are single-
-//                    threaded by contract) and runs one submission at a
-//                    time off a FIFO queue; it never touches sockets.
+//   executor thread  is the only user of the api::Session (Sessions are
+//                    single-threaded by contract; the constructor builds
+//                    it) and runs one submission at a time off a FIFO
+//                    queue; it never touches sockets.
 //
 // They meet at (a) the mutex-protected submission table + job queue,
 // (b) the mutex-protected VerdictCache, and (c) one preallocated
@@ -60,6 +61,9 @@ struct ServeOptions {
 
 class Server {
  public:
+  /// Builds the daemon's Session and starts its pool, so a pool that
+  /// cannot start its threads throws std::system_error ("cannot start N
+  /// threads: ...") here, before anything listens.
   explicit Server(ServeOptions options);
   ~Server();
 
@@ -125,6 +129,9 @@ class Server {
   class ExecObserver;
 
   ServeOptions options_;
+  /// One warm Session for the daemon's lifetime: the pool amortizes
+  /// across submissions (the whole point of serving).
+  api::Session session_;
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::vector<Connection> connections_;

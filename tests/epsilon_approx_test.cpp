@@ -2,11 +2,13 @@
 // structure on the touchstone adversaries, the refinement laws of
 // Lemma 6.3, one leaf per admissible prefix, and consistency of the BFS
 // with direct per-prefix computation.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +29,104 @@ AnalysisOptions opts(int depth, bool keep = true) {
   o.depth = depth;
   o.keep_levels = keep;
   return o;
+}
+
+// ---- StateVector, the PrefixState column: both storage modes.
+
+using Column = StateVector<std::int32_t>;
+constexpr std::size_t kInline = Column::kInline;
+
+Column iota_column(std::size_t count, std::int32_t first) {
+  Column column;
+  column.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    column[i] = first + static_cast<std::int32_t>(i);
+  }
+  return column;
+}
+
+TEST(StateVector, LayoutMatchesAVector) {
+  EXPECT_EQ(sizeof(Column), sizeof(std::vector<std::int32_t>));
+}
+
+TEST(StateVector, CopyAndMoveInBothModes) {
+  for (const std::size_t count : {std::size_t{0}, std::size_t{3}, kInline,
+                                  kInline + 1, std::size_t{12}}) {
+    const Column original = iota_column(count, 7);
+    ASSERT_EQ(original.size(), count);
+    Column copy(original);
+    EXPECT_EQ(copy, original) << count;
+    if (count > 0) {
+      copy[0] = -1;  // a deep copy: the original keeps its entry
+      EXPECT_EQ(original[0], 7) << count;
+      EXPECT_NE(copy, original) << count;
+    }
+    Column moved(std::move(copy));
+    EXPECT_EQ(moved.size(), count);
+    EXPECT_TRUE(copy.empty());  // moved from: left empty
+    Column assigned = iota_column(kInline + 3, 100);
+    assigned = original;
+    EXPECT_EQ(assigned, original) << count;
+    Column move_assigned = iota_column(2, 100);
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(move_assigned, original) << count;
+    EXPECT_TRUE(assigned.empty());  // moved from: left empty
+  }
+}
+
+TEST(StateVector, SelfAssignmentKeepsEntries) {
+  for (const std::size_t count : {std::size_t{4}, std::size_t{9}}) {
+    Column column = iota_column(count, 1);
+    const Column expected = column;
+    Column& alias = column;
+    column = alias;
+    EXPECT_EQ(column, expected) << count;
+    column = std::move(alias);
+    EXPECT_EQ(column, expected) << count;
+    // assign() from its own entries, the whole run and a prefix of it.
+    column.assign(std::span<const std::int32_t>(column.data(), count));
+    EXPECT_EQ(column, expected) << count;
+    column.assign(std::span<const std::int32_t>(column.data(), 2));
+    EXPECT_EQ(column, iota_column(2, 1)) << count;
+  }
+}
+
+TEST(StateVector, ResizeAndAssignAcrossTheInlineLimit) {
+  using Entries = std::vector<std::int32_t>;
+  Column column;
+  column.resize(3);
+  EXPECT_EQ(column, Entries({0, 0, 0}));
+  column[1] = 5;
+  column.resize(kInline + 2);  // inline -> heap keeps the prefix
+  EXPECT_EQ(column, Entries({0, 5, 0, 0, 0, 0, 0}));
+  column[kInline] = 9;
+  column.resize(kInline + 4);  // heap -> heap
+  EXPECT_EQ(column, Entries({0, 5, 0, 0, 0, 9, 0, 0, 0}));
+  column.resize(2);  // heap -> inline
+  EXPECT_EQ(column, Entries({0, 5}));
+  column.resize(0);
+  EXPECT_TRUE(column.empty());
+
+  const Entries long_run = {1, 2, 3, 4, 5, 6, 7, 8};
+  column.assign(long_run);  // inline -> heap
+  EXPECT_EQ(column, long_run);
+  const Entries same_length = {8, 7, 6, 5, 4, 3, 2, 1};
+  column.assign(same_length);  // heap, same length: buffer reused
+  EXPECT_EQ(column, same_length);
+  column.assign(Entries{4, 4});  // heap -> inline
+  EXPECT_EQ(column, Entries({4, 4}));
+  column.assign(std::span<const std::int32_t>());
+  EXPECT_TRUE(column.empty());
+}
+
+TEST(StateVector, EqualityComparesEntriesNotStorage) {
+  // The same entries reached through the heap and inline are equal.
+  Column shrunk = iota_column(kInline + 1, 0);
+  shrunk.resize(kInline);
+  EXPECT_EQ(shrunk, iota_column(kInline, 0));
+  EXPECT_NE(iota_column(kInline, 0), iota_column(kInline + 1, 0));
+  EXPECT_EQ(iota_column(kInline + 2, 3), iota_column(kInline + 2, 3));
+  EXPECT_NE(iota_column(kInline + 2, 3), iota_column(kInline + 2, 4));
 }
 
 TEST(EpsilonApprox, LossyLinkPairSeparatesAtDepthOne) {

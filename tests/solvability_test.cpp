@@ -2,14 +2,19 @@
 // literature oracles: the complete lossy-link table (Section 6.1), the
 // Santoro-Widmayer omission threshold, and the checker's behaviour on
 // non-compact adversaries (closure analysis, Section 6.3).
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "adversary/finite_loss.hpp"
 #include "adversary/lossy_link.hpp"
+#include "adversary/oblivious.hpp"
 #include "adversary/omission.hpp"
 #include "adversary/vssc.hpp"
 #include "analysis/oracles.hpp"
 #include "core/solvability.hpp"
+#include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
 namespace {
@@ -124,6 +129,57 @@ TEST(Solvability, VsscClosureNeverSeparates) {
   // The closure (all rooted graphs, obliviously) is the n = 2 lossy link
   // full set: never separated.
   EXPECT_EQ(result.verdict, SolvabilityVerdict::kNotSeparated);
+}
+
+// n = 6 exceeds StateVector::kInline, so every state column of these
+// checks lives on the heap: commit, assembly copies, the table fold and
+// teardown all run the heap path, against the single-scan oracle.
+TEST(Solvability, HeapColumnsMatchOracleAtSixProcesses) {
+  constexpr int n = 6;
+  const ObliviousAdversary broadcast(
+      n,
+      {Digraph::complete(n),
+       Digraph::from_edges(n, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})},
+      "complete-or-star");
+  const ObliviousAdversary isolated(
+      n, {Digraph::from_edges(n, {{0, 1}}), Digraph::from_edges(n, {{1, 0}})},
+      "one-link");
+  const auto saved = [](const SolvabilityResult& result) {
+    std::ostringstream out;
+    if (result.table) result.table->save(out);
+    return out.str();
+  };
+  sweep::ThreadPool pool(2);
+  const MessageAdversary* const adversaries[] = {&broadcast, &isolated};
+  for (const MessageAdversary* adversary : adversaries) {
+    const SolvabilityResult oracle =
+        check_solvability_oracle(*adversary, capped(3));
+    ShardingOptions finest;
+    finest.chunk_states = 1;
+    for (const SolvabilityResult& got :
+         {check_solvability(*adversary, capped(3)),
+          check_solvability(*adversary, capped(3), pool.as_parallel_for(), {},
+                            finest)}) {
+      EXPECT_EQ(got.verdict, oracle.verdict) << adversary->name();
+      EXPECT_EQ(got.certified_depth, oracle.certified_depth);
+      EXPECT_EQ(got.per_depth, oracle.per_depth) << adversary->name();
+      EXPECT_EQ(saved(got), saved(oracle)) << adversary->name();
+      ASSERT_TRUE(got.analysis.has_value());
+      ASSERT_TRUE(oracle.analysis.has_value());
+      const std::vector<PrefixState>& leaves = got.analysis->leaves();
+      const std::vector<PrefixState>& expected = oracle.analysis->leaves();
+      ASSERT_EQ(leaves.size(), expected.size());
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        ASSERT_EQ(leaves[i].inputs, expected[i].inputs) << i;
+        ASSERT_EQ(leaves[i].views, expected[i].views) << i;
+        ASSERT_EQ(leaves[i].reach, expected[i].reach) << i;
+      }
+    }
+  }
+  EXPECT_EQ(check_solvability(broadcast, capped(3)).verdict,
+            SolvabilityVerdict::kSolvable);
+  EXPECT_EQ(check_solvability(isolated, capped(3)).verdict,
+            SolvabilityVerdict::kNotSeparated);
 }
 
 TEST(Solvability, VerdictNames) {
