@@ -1,7 +1,7 @@
 // Named adversary families as data: one (family, n, param) triple per
 // grid point, with a uniform factory. This is the adapter layer between
 // the benchmark/CLI parameter grids and the sweep engine
-// (runtime/sweep/engine.hpp): a SweepSpec is essentially a list of
+// (runtime/sweep/engine.hpp): a sweep is essentially a list of
 // FamilyPoints plus solver options, and every bench table row corresponds
 // to one point.
 #pragma once
@@ -73,7 +73,7 @@ FamilyParamRange family_param_range(const std::string& family, int n);
 
 /// Expands the inclusive parameter interval [param_min, param_max] into
 /// validated grid points of one family at fixed n -- the adapter between
-/// scenario grids and SweepSpecs. Throws std::invalid_argument when the
+/// scenario grids and sweep jobs. Throws std::invalid_argument when the
 /// interval is empty or leaves the family's valid range.
 std::vector<FamilyPoint> family_grid(const std::string& family, int n,
                                      int param_min, int param_max);

@@ -16,12 +16,11 @@ Session::Session(SessionOptions options)
 std::vector<sweep::JobOutcome> Session::run(const std::string& name,
                                             const std::vector<Query>& queries,
                                             Observer* observer) {
-  sweep::SweepSpec spec;
-  spec.name = name;
-  spec.jobs.reserve(queries.size());
+  std::vector<sweep::SweepJob> jobs;
+  jobs.reserve(queries.size());
   for (const Query& query : queries) {
     validate_query(query);
-    spec.jobs.push_back(to_sweep_job(query));
+    jobs.push_back(to_sweep_job(query));
   }
 
   sweep::SweepHooks hooks;
@@ -57,7 +56,7 @@ std::vector<sweep::JobOutcome> Session::run(const std::string& name,
   }
 
   std::vector<sweep::JobOutcome> outcomes =
-      sweep::run_sweep_on(spec, pool_, hooks);
+      sweep::run_sweep_on(jobs, pool_, hooks);
 
   std::vector<sweep::JobRecord> records;
   records.reserve(outcomes.size());

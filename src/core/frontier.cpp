@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <iterator>
 #include <span>
 #include <unordered_map>
 
@@ -49,7 +48,7 @@ int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
       entry.offset = pool_.size();
       entry.count = static_cast<std::uint32_t>(count);
       entry.hash = hash;
-      pool_.insert(pool_.end(), words, words + count);
+      pool_.append(words, count);
       entries_.push_back(entry);
       slots_[pos] = id;
       *inserted = true;
@@ -66,12 +65,11 @@ int WordSeqIndex::intern(const std::uint32_t* words, std::size_t count,
   }
 }
 
-void WordSeqIndex::release_probe_table() {
-  slots_ = std::vector<int>();
-}
+void WordSeqIndex::release_probe_table() { slots_.reset(); }
 
 void WordSeqIndex::rehash(std::size_t slots) {
-  std::vector<int> next(slots, -1);
+  PageColumn<int> next(slots_.pool());
+  next.assign(slots, -1);
   const std::size_t mask = next.size() - 1;
   for (std::size_t e = 0; e < entries_.size(); ++e) {
     std::size_t pos = entries_[e].hash & mask;
@@ -84,8 +82,11 @@ void WordSeqIndex::rehash(std::size_t slots) {
 FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
                                const AnalysisOptions& options,
                                ViewInterner& interner, int first_root,
-                               int last_root)
-    : adversary_(&adversary), options_(options), interner_(&interner) {
+                               int last_root, PagePool* pool)
+    : adversary_(&adversary),
+      options_(options),
+      interner_(&interner),
+      pool_(pool) {
   const int n = adversary.num_processes();
   // The expansion shape: the (letter, process) -> distinct (receiver,
   // in-mask) pair index table.
@@ -109,8 +110,10 @@ FrontierEngine::FrontierEngine(const MessageAdversary& adversary,
     }
   }
 
-  levels_.push_back(
-      initial_frontier(adversary, options, interner, first_root, last_root));
+  const std::vector<PrefixState> roots =
+      initial_frontier(adversary, options, interner, first_root, last_root);
+  levels_.emplace_back(roots.begin(), roots.end(),
+                       PageAllocator<PrefixState>(pool_));
   level_sizes_.push_back(frontier().size());
   if (options_.keep_levels) {
     parents_.push_back(
@@ -154,12 +157,12 @@ std::vector<FrontierChunk> FrontierEngine::partition(
 PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
                                        FrontierBudget* budget,
                                        int depth) const {
-  const std::vector<PrefixState>& frontier = this->frontier();
+  const EngineLevel& frontier = this->frontier();
   assert(chunk.begin <= chunk.end && chunk.end <= frontier.size());
   const MessageAdversary& adversary = *adversary_;
   const int n = adversary.num_processes();
   const int alphabet = adversary.alphabet_size();
-  PendingFrontier out;
+  PendingFrontier out(pool_);
   out.chunk = chunk;
   if (budget != nullptr && budget->exceeded()) {
     // Another chunk already tripped the level budget; this chunk's work
@@ -185,6 +188,23 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   // Scratch key, reused across emissions: no per-emission allocation.
   // Keys are KeyCodec-packed (see frontier.hpp).
   const KeyCodec codec = level_codec();
+  // The chunk's upper bounds: every parent emits at most one state per
+  // letter and one distinct view per expansion-shape pair. Untouched
+  // reserved pages cost address space only, and the columns shrink to
+  // their sizes below, so no column grows or is copied on the way.
+  const std::size_t parents = chunk.end - chunk.begin;
+  const std::size_t max_emissions =
+      std::min(parents * static_cast<std::size_t>(alphabet),
+               options_.max_states + 1);
+  const std::size_t max_views = parents * num_pairs;
+  out.states.reserve(max_emissions);
+  out.state_views.reserve(max_emissions * static_cast<std::size_t>(n));
+  out.state_reach.reserve(max_emissions * static_cast<std::size_t>(n));
+  out.views.reserve(
+      max_views, max_views * ((codec.q_bits + codec.mask_bits +
+                               static_cast<std::size_t>(n) * codec.sender_bits +
+                               31) /
+                              32));
   std::vector<std::uint32_t> view_key;
   view_key.reserve(static_cast<std::size_t>(n) + 2);
   const auto pack_view_key = [&](std::uint32_t recv, NodeMask in_mask,
@@ -271,6 +291,10 @@ PendingFrontier FrontierEngine::expand(const FrontierChunk& chunk,
   out.stats.pending_views = out.views.size();
   out.stats.rehashes = out.views.rehashes();
   out.views.release_probe_table();
+  out.views.shrink_to_fit();
+  out.states.shrink_to_fit();
+  out.state_views.shrink_to_fit();
+  out.state_reach.shrink_to_fit();
   if (trace != nullptr) {
     trace->complete(
         "chunk", "expand", span_start, trace->now_us() - span_start,
@@ -301,10 +325,19 @@ PendingFrontier FrontierEngine::merge(
     return std::move(chunks.front());
   }
 
-  PendingFrontier level;
+  // The merged columns continue the first chunk's: its views are the
+  // first the merged table interns, so they keep their indices, and its
+  // states are the level's first. Each later chunk grows them by exactly
+  // its size, in place (mremap, no copy), and then gives its own pages
+  // back to the pool.
+  PendingFrontier level(pool_);
   level.chunk = FrontierChunk{0, frontier().size()};
+  level.states = std::move(chunks.front().states);
+  level.state_views = std::move(chunks.front().state_views);
+  level.state_reach = std::move(chunks.front().state_reach);
   std::vector<std::uint32_t> view_remap;
-  for (PendingFrontier& chunk : chunks) {
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    PendingFrontier& chunk = chunks[c];
     level.stats.add(chunk.stats);
     // Re-key the chunk's distinct views in the merged view table (one
     // long-key lookup per distinct view, not per state). Every chunk of
@@ -316,26 +349,27 @@ PendingFrontier FrontierEngine::merge(
       view_remap[v] = static_cast<std::uint32_t>(level.views.intern(
           chunk.views.words_of(static_cast<int>(v)),
           chunk.views.count_of(static_cast<int>(v)), &inserted));
+      assert(c > 0 || view_remap[v] == v);
     }
-    for (const std::uint32_t v : chunk.state_views) {
-      level.state_views.push_back(view_remap[v]);
+    if (c > 0) {
+      std::uint32_t* views = level.state_views.extend(chunk.state_views.size());
+      for (const std::uint32_t v : chunk.state_views) *views++ = view_remap[v];
+      level.state_reach.append(chunk.state_reach.data(),
+                               chunk.state_reach.size());
+      level.states.append(chunk.states.data(), chunk.states.size());
     }
-    level.state_reach.insert(level.state_reach.end(),
-                             chunk.state_reach.begin(),
-                             chunk.state_reach.end());
-    std::move(chunk.states.begin(), chunk.states.end(),
-              std::back_inserter(level.states));
     if (level.states.size() > options_.max_states) {
       level.overflow = true;
       return level;
     }
     // Fully folded in: free the chunk's tables before the next folds in.
-    chunk = PendingFrontier{};
+    chunk = PendingFrontier();
   }
   // The distinct view tally becomes the merged table's size.
   level.stats.pending_views = level.views.size();
   level.stats.rehashes += level.views.rehashes();
   level.views.release_probe_table();
+  level.views.shrink_to_fit();
   return level;
 }
 
@@ -349,12 +383,12 @@ void FrontierEngine::commit(PendingFrontier level) {
   interner_->attach_to_current_thread();
   const std::size_t views_before = interner_->size();
   const auto n = static_cast<std::size_t>(adversary_->num_processes());
-  const std::vector<PrefixState>& parents_level = frontier();
+  const EngineLevel& parents_level = frontier();
   // The states first, before any view is interned: the level is one
   // block of inline states (core/state_vector.hpp) written in level
   // order, so every later pass over it (assembly, components, release)
   // walks memory in order.
-  std::vector<PrefixState> next(level.states.size());
+  EngineLevel next(level.states.size(), PageAllocator<PrefixState>(pool_));
   std::vector<std::pair<int, int>> parents;
   if (options_.keep_levels) parents.reserve(level.states.size());
   for (std::size_t s = 0; s < level.states.size(); ++s) {
@@ -378,14 +412,14 @@ void FrontierEngine::commit(PendingFrontier level) {
   } else {
     levels_.back() = std::move(next);
   }
-  level.states = std::vector<PendingState>();
-  level.state_reach = std::vector<NodeMask>();
+  level.states.reset();
+  level.state_reach.reset();
   // Each distinct pending view is interned exactly once, on first use;
   // states are walked in merged (= serial discovery) order and views in
   // process order, so ids are assigned in the serial scan's order.
   std::vector<ViewId> resolved(level.views.size(), -1);
   std::vector<ViewId> senders;
-  std::vector<PrefixState>& installed = levels_.back();
+  EngineLevel& installed = levels_.back();
   for (std::size_t s = 0; s < installed.size(); ++s) {
     const std::uint32_t* state_views = level.state_views.data() + s * n;
     StateVector<ViewId>& views = installed[s].views;

@@ -46,6 +46,20 @@
 // interner exactly as if the level had never been attempted, matching
 // the reference checker's truncation semantics bit for bit. Only the
 // driver tracks truncation; an engine holds committed levels only.
+//
+// Where the columns live: a pending slice's columns (states, view
+// indices, reach masks, and the packed keys, entries and probe table of
+// its WordSeqIndex) are PageColumns (memory/page_column.hpp), and each
+// committed level is an EngineLevel, all in the mappings of the
+// engine's PagePool, which the level driver (core/shard_set.hpp) owns
+// for a whole job. expand() reserves a chunk's upper bound and shrinks
+// to its size; merge() grows the first chunk's columns in place by each
+// later chunk's size. A slice hands each mapping back to the pool as
+// soon as it is folded in or committed, and a level as soon as the next
+// replaces it, so the next level writes into pages already faulted in.
+// The pool unmaps what it holds when the job's ShardSet reaches its
+// deepest level or dies; a slice dies with the merge or commit that
+// consumes it.
 #pragma once
 
 #include <atomic>
@@ -56,6 +70,7 @@
 
 #include "adversary/adversary.hpp"
 #include "core/epsilon_approx.hpp"
+#include "memory/page_column.hpp"
 #include "ptg/view_intern.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -120,9 +135,13 @@ inline std::uint32_t get_bits(const std::uint32_t* words, std::size_t pos,
 /// Append-only open-addressed map from word sequences (dedup keys) to
 /// dense indices, with the key material owned by the table -- the
 /// allocation-free workhorse behind pending-view deduplication. Exposed
-/// here only because PendingFrontier embeds one.
+/// here only because PendingFrontier embeds one. Its key words, entries
+/// and probe table are PageColumns of `pool`.
 class WordSeqIndex {
  public:
+  explicit WordSeqIndex(PagePool* pool = nullptr)
+      : pool_(pool), entries_(pool), slots_(pool) {}
+
   /// Index of the key `words[0..count)`, inserting it if absent;
   /// `*inserted` reports which happened.
   int intern(const std::uint32_t* words, std::size_t count, bool* inserted);
@@ -133,6 +152,22 @@ class WordSeqIndex {
   /// they return, so a finished slice holds its keys and nothing more
   /// while it waits for merge() or commit(), which only read entries.
   void release_probe_table();
+
+  /// Capacity for `entries` keys of `words` key words in total.
+  void reserve(std::size_t entries, std::size_t words) {
+    entries_.reserve(entries);
+    pool_.reserve(words);
+  }
+  /// Unmaps the key and entry pages past their sizes.
+  void shrink_to_fit() {
+    entries_.shrink_to_fit();
+    pool_.shrink_to_fit();
+  }
+  /// Bytes of the table's mappings.
+  std::size_t mapped_bytes() const {
+    return pool_.mapped_bytes() + entries_.mapped_bytes() +
+           slots_.mapped_bytes();
+  }
 
   std::size_t size() const { return entries_.size(); }
   /// Probe-table growth rehashes performed so far (telemetry).
@@ -153,13 +188,17 @@ class WordSeqIndex {
   /// Re-inserts every entry into a fresh probe table of `slots` slots.
   void rehash(std::size_t slots);
 
-  std::vector<std::uint32_t> pool_;
-  std::vector<Entry> entries_;
+  PageColumn<std::uint32_t> pool_;
+  PageColumn<Entry> entries_;
   /// Power-of-two probe table of entry indices; -1 = empty. Empty also
   /// after release_probe_table().
-  std::vector<int> slots_;
+  PageColumn<int> slots_;
   std::uint64_t rehashes_ = 0;
 };
+
+/// One committed level of a FrontierEngine, in the mappings of the
+/// engine's pool.
+using EngineLevel = std::vector<PrefixState, PageAllocator<PrefixState>>;
 
 /// Per-state metadata of a pending (not yet interned) level: no heap
 /// member, so an emission allocates nothing of its own. The views and
@@ -177,18 +216,32 @@ struct PendingState {
 /// frontier). Views are stored as slice-local dedup indices into
 /// `views`, whose key words are [process, mask, senders...] with sender
 /// ids referring to the PARENT level's interned views.
+///
+/// Every column is a PageColumn of the engine's PagePool: a slice must
+/// not outlive the engine's pool, and it gives its mappings back when it
+/// dies (a default-constructed slice holds none).
 struct PendingFrontier {
+  PendingFrontier() = default;
+  explicit PendingFrontier(PagePool* pool)
+      : states(pool), views(pool), state_views(pool), state_reach(pool) {}
+
+  /// Bytes of the slice's mappings.
+  std::size_t mapped_bytes() const {
+    return states.mapped_bytes() + views.mapped_bytes() +
+           state_views.mapped_bytes() + state_reach.mapped_bytes();
+  }
+
   FrontierChunk chunk;
-  std::vector<PendingState> states;
+  PageColumn<PendingState> states;
   /// Distinct pending views of this slice; key words of view v are
   /// the KeyCodec packing of [process, mask, senders...].
   WordSeqIndex views;
   /// The states' view indices, n per state: process q's view in state s
   /// is entry state_views[s * n + q] of `views`.
-  std::vector<std::uint32_t> state_views;
+  PageColumn<std::uint32_t> state_views;
   /// The states' reach masks, n per state like state_views: process q's
   /// mask in state s is state_reach[s * n + q].
-  std::vector<NodeMask> state_reach;
+  PageColumn<NodeMask> state_reach;
   /// True iff the slice exceeded max_states (states incomplete).
   bool overflow = false;
   /// Expansion statistics of this slice, flushed into
@@ -228,16 +281,18 @@ class FrontierEngine {
  public:
   /// Initializes the level-0 frontier: one class per input vector with
   /// dense index in [first_root, last_root). Mutates `interner` (which
-  /// must outlive the engine), like every commit() does.
+  /// must outlive the engine), like every commit() does. Pending slices
+  /// map their columns in `pool`, which must outlive them; without one
+  /// each column maps and unmaps its own pages.
   FrontierEngine(const MessageAdversary& adversary,
                  const AnalysisOptions& options, ViewInterner& interner,
-                 int first_root, int last_root);
+                 int first_root, int last_root, PagePool* pool = nullptr);
 
   /// Depth expanded so far (0 right after construction).
   int level() const { return level_; }
   /// The current level. It is the last entry of levels(), not a copy of
   /// it: every committed level exists once. Invalid after take_levels().
-  const std::vector<PrefixState>& frontier() const { return levels_.back(); }
+  const EngineLevel& frontier() const { return levels_.back(); }
 
   /// Deterministic partition of the current frontier into chunks of at
   /// most `chunk_states` parents (0 = one chunk). Never empty: an empty
@@ -286,9 +341,7 @@ class FrontierEngine {
   // every level 0..level(), and parents() their parent columns;
   // otherwise levels() holds the current level only and parents() is
   // empty.
-  const std::vector<std::vector<PrefixState>>& levels() const {
-    return levels_;
-  }
+  const std::vector<EngineLevel>& levels() const { return levels_; }
   const std::vector<std::vector<std::pair<int, int>>>& parents() const {
     return parents_;
   }
@@ -296,9 +349,7 @@ class FrontierEngine {
   // Move-out variants for building a DepthAnalysis from a finished
   // engine without copying multi-million-state histories; the engine is
   // done afterwards (history empty, frontier() invalid).
-  std::vector<std::vector<PrefixState>> take_levels() {
-    return std::move(levels_);
-  }
+  std::vector<EngineLevel> take_levels() { return std::move(levels_); }
   std::vector<std::vector<std::pair<int, int>>> take_parents() {
     return std::move(parents_);
   }
@@ -323,10 +374,11 @@ class FrontierEngine {
   const MessageAdversary* adversary_;
   AnalysisOptions options_;
   ViewInterner* interner_;
+  PagePool* pool_;
   ExpansionShape shape_;
   int level_ = 0;
   std::vector<std::size_t> level_sizes_;
-  std::vector<std::vector<PrefixState>> levels_;
+  std::vector<EngineLevel> levels_;
   std::vector<std::vector<std::pair<int, int>>> parents_;
 };
 

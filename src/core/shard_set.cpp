@@ -85,7 +85,8 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
   // Level 0: one engine (and private interner) per root.
   run_parallel(parallel_for_, shards_.size(), [&](std::size_t r) {
     shards_[r].engine.emplace(adversary_, options_, shards_[r].interner,
-                              static_cast<int>(r), static_cast<int>(r) + 1);
+                              static_cast<int>(r), static_cast<int>(r) + 1,
+                              &pages_);
   });
 }
 
@@ -146,7 +147,14 @@ bool ShardSet::advance(int depth) {
     return false;
   }
 
-  std::vector<PendingFrontier> pending(num_roots);
+  // The budget held, so no root's merge overflows, and each root merges
+  // and commits in one task: the pages its chunks and its pending level
+  // give back serve the roots that merge and commit after it. The set
+  // expands no level after its deepest, so there a page given back is
+  // worth nothing cached, and the pool unmaps it at once.
+  if (s == options_.depth) pages_.drain();
+  std::vector<std::size_t> root_states(num_roots, 0);
+  std::vector<std::size_t> root_bytes(num_roots, 0);
   run_parallel(parallel_for_, num_roots, [&](std::size_t r) {
     std::vector<PendingFrontier> mine(
         std::make_move_iterator(expansions.begin() +
@@ -154,15 +162,18 @@ bool ShardSet::advance(int depth) {
         std::make_move_iterator(
             expansions.begin() +
             static_cast<std::ptrdiff_t>(first_item[r + 1])));
-    pending[r] = shards_[r].engine->merge(std::move(mine));
+    PendingFrontier level = shards_[r].engine->merge(std::move(mine));
+    root_states[r] = level.states.size();
+    root_bytes[r] = level.mapped_bytes();
+    shards_[r].engine->commit(std::move(level));
   });
   std::size_t total = 0;
-  for (const PendingFrontier& level : pending) {
-    total += level.states.size();
+  std::size_t pending_bytes = 0;
+  for (std::size_t r = 0; r < num_roots; ++r) {
+    total += root_states[r];
+    pending_bytes += root_bytes[r];
   }
-  run_parallel(parallel_for_, num_roots, [&](std::size_t r) {
-    shards_[r].engine->commit(std::move(pending[r]));
-  });
+  const std::size_t pool_bytes = pages_.mapped_bytes();
   level_ = s;
   if (metrics != nullptr) {
     // frontier_states is the size of the level just expanded (s - 1),
@@ -179,7 +190,9 @@ bool ShardSet::advance(int depth) {
                                     static_cast<std::uint64_t>(depth)),
            telemetry::TraceArg::num("level", static_cast<std::uint64_t>(s)),
            telemetry::TraceArg::num("states", total),
-           telemetry::TraceArg::num("chunks", items.size())});
+           telemetry::TraceArg::num("chunks", items.size()),
+           telemetry::TraceArg::num("pending_bytes", pending_bytes),
+           telemetry::TraceArg::num("pool_bytes", pool_bytes)});
     }
   }
   return true;
@@ -195,6 +208,9 @@ DepthAnalysis ShardSet::analyze(int depth) {
   assert(spend || !options_.keep_levels);
   while (level_ < depth && advance(depth)) {
   }
+  // A truncated pass stops short of the deepest level; the assembly that
+  // spends the set unmaps what it releases all the same.
+  if (spend) pages_.drain();
   const std::size_t num_roots = shards_.size();
   const int reached = level_;
   DepthAnalysis analysis;
@@ -275,13 +291,13 @@ DepthAnalysis ShardSet::analyze(int depth) {
   for (std::size_t r = 0; r < num_roots; ++r) {
     FrontierEngine& engine = *shards_[r].engine;
     const std::vector<ViewId>& remap = shards_[r].remap;
-    std::vector<std::vector<PrefixState>> taken;
+    std::vector<EngineLevel> taken;
     std::vector<std::vector<std::pair<int, int>>> parents;
     if (spend) {
       taken = engine.take_levels();
       parents = engine.take_parents();
     }
-    const std::vector<std::vector<PrefixState>>& from =
+    const std::vector<EngineLevel>& from =
         spend ? taken : engine.levels();
     std::vector<Range> ranges;
     for (std::size_t u = 0; u < level_count; ++u) {

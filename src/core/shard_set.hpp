@@ -67,6 +67,14 @@
 // certify pass still expands from scratch, after the persistent shards
 // are released.
 //
+// Memory: every engine of a set maps its pending columns and its levels
+// in the set's one PagePool (memory/page_column.hpp), so a level's chunk
+// buffers are the pages the level before gave back, and each root merges
+// and commits in one task, handing its pages on to the roots after it.
+// From the merges of the deepest level on (or from the assembly that
+// spends a truncated set) the pool unmaps what is given back, and it
+// unmaps the rest when the set dies.
+//
 // Truncation: a level overflows iff the sum of its chunk sizes exceeds
 // max_states -- the same condition the single-scan BFS checks, because
 // chunk counts are exact (every emission is a new class,
@@ -164,6 +172,9 @@ class ShardSet {
   const std::shared_ptr<ViewInterner> interner_;
   const std::size_t chunk_states_;
   const ChunkProgressFn on_chunk_;
+  /// The pending columns of every engine; declared before the engines
+  /// so it outlives them.
+  PagePool pages_;
   /// One per root; empty once the set is spent.
   std::vector<RootShard> shards_;
   int level_ = 0;

@@ -95,7 +95,7 @@ ViewId ViewInterner::intern(const Key& key) {
   slots_[slot] = (h & ~kIdMask) | static_cast<std::uint32_t>(id);
   records_.push_back(Record{key.process, depth_of(key), key.word,
                             static_cast<std::uint32_t>(senders_.size())});
-  senders_.insert(senders_.end(), key.senders.begin(), key.senders.end());
+  senders_.append(key.senders.data(), key.senders.size());
   return id;
 }
 
@@ -174,8 +174,7 @@ bool ViewInterner::reserve_index(std::size_t views) {
   std::size_t capacity = std::max<std::size_t>(64, slots_.size());
   while (capacity < 2 * views) capacity *= 2;
   if (capacity == slots_.size()) return true;
-  slots_.clear();
-  slots_.shrink_to_fit();
+  slots_.reset();
   slots_.assign(capacity, kEmptySlot);
   return false;
 }
@@ -204,8 +203,8 @@ ViewInterner::Blank ViewInterner::append_blank(std::size_t views,
   if (senders_.size() + senders > kIdMask) die("more than 2^32 sender ids");
   Blank blank{static_cast<ViewId>(records_.size()), senders_.size(), 0};
   if (!reserve_index(records_.size() + views)) blank.stale = records_.size();
-  records_.resize(records_.size() + views);
-  senders_.resize(senders_.size() + senders);
+  records_.extend(views);
+  senders_.extend(senders);
   return blank;
 }
 

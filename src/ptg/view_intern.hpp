@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "memory/page_column.hpp"
 #include "ptg/prefix.hpp"
 
 namespace topocon {
@@ -67,7 +68,10 @@ using ViewVector = std::vector<ViewId>;
 /// order (compressed sparse rows: a step node's senders are the
 /// popcount(mask) entries from its first sender on). A view costs 16 B
 /// plus 4 B per sender, with no heap block of its own, plus its share of
-/// the index (8 B slots, at most half full).
+/// the index (8 B slots, at most half full). The three columns are
+/// PageColumns (memory/page_column.hpp): they grow by mremap without
+/// copying, and their pages go back to the system when the interner
+/// dies instead of staying in the arena of the thread that grew them.
 class ViewInterner {
  public:
   ViewInterner() = default;
@@ -214,13 +218,13 @@ class ViewInterner {
   /// owning thread.
   void check_owner();
 
-  std::vector<Record> records_;
-  std::vector<ViewId> senders_;
+  PageColumn<Record> records_;
+  PageColumn<ViewId> senders_;
   /// Open-addressed index of all nodes (linear probing, at most half
   /// full): a slot holds the high half of its key's hash above the node
   /// id, or kEmptySlot. Keys are compared against the columns, so the
   /// table stores no key of its own.
-  std::vector<std::uint64_t> slots_;
+  PageColumn<std::uint64_t> slots_;
   /// Id of the thread that owns mutation rights; default-constructed until
   /// the first mutation.
   std::atomic<std::thread::id> owner_{};

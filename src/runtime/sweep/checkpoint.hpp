@@ -8,7 +8,7 @@
 // torn trailing line, which the reader detects and drops -- everything
 // before it is recovered. Completion order depends on the thread count,
 // so consumers key on the "job" index (the position in the expanded
-// SweepSpec), never on line order; re-serializing the merged records in
+// job list), never on line order; re-serializing the merged records in
 // job order is what makes an interrupted-and-resumed sweep byte-identical
 // to an uninterrupted one.
 //

@@ -211,17 +211,18 @@ std::optional<JobKind> parse_job_kind(std::string_view name) {
   return std::nullopt;
 }
 
-std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
+std::vector<JobOutcome> run_sweep_on(std::span<const SweepJob> jobs,
+                                     ThreadPool& pool,
                                      const SweepHooks& hooks) {
-  std::vector<JobOutcome> outcomes(spec.jobs.size());
+  std::vector<JobOutcome> outcomes(jobs.size());
   std::mutex hook_mutex;
 
   const bool want_telemetry = hooks.collect_telemetry ||
                               hooks.trace != nullptr ||
                               static_cast<bool>(hooks.on_job_telemetry);
 
-  pool.parallel_for(spec.jobs.size(), [&](std::size_t j) {
-    const SweepJob& job = spec.jobs[j];
+  pool.parallel_for(jobs.size(), [&](std::size_t j) {
+    const SweepJob& job = jobs[j];
     JobOutcome& outcome = outcomes[j];
     outcome.family = job.point.family;
     outcome.label = family_point_label(job.point);

@@ -1,6 +1,6 @@
 // The parallel adversary-sweep engine.
 //
-// A SweepSpec is a batch of independent solver jobs -- adversary family x
+// A sweep is a batch of independent solver jobs -- adversary family x
 // n x parameter grid -- executed concurrently on one work-helping thread
 // pool: jobs run in parallel, and inside every job the depth-t prefix
 // expansion is chunk-sharded over the same pool by the level driver
@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,12 +92,6 @@ struct JobOutcome {
   std::optional<telemetry::JobTelemetry> telemetry;
 };
 
-struct SweepSpec {
-  /// Name under which the outcomes are recorded (JSON "name" field).
-  std::string name;
-  std::vector<SweepJob> jobs;
-};
-
 /// Streaming hooks into a running sweep -- the engine-level form of
 /// api::Observer. All are invoked under one engine-internal mutex (so
 /// implementations need no locking of their own) but in completion
@@ -129,14 +124,15 @@ struct SweepHooks {
   std::size_t chunk_states = 0;
 };
 
-/// Runs all jobs of the spec on an existing pool. Outcomes are indexed
-/// like spec.jobs; interners inside the outcomes are re-homed to the
+/// Runs the jobs on an existing pool. Outcomes are indexed like `jobs`;
+/// interners inside the outcomes are re-homed to the
 /// calling thread. Does NOT record into the global registry -- callers
 /// that retain outcomes do so themselves (api::Session records into its
 /// own history). Inside every job the level driver (core/shard_set.hpp)
 /// chunk-shards the expansion over `pool` in chunks of
 /// hooks.chunk_states.
-std::vector<JobOutcome> run_sweep_on(const SweepSpec& spec, ThreadPool& pool,
+std::vector<JobOutcome> run_sweep_on(std::span<const SweepJob> jobs,
+                                     ThreadPool& pool,
                                      const SweepHooks& hooks = {});
 
 /// What the registry retains (and the JSON contains) per job: the

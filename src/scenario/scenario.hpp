@@ -6,8 +6,7 @@
 // operator can run from the CLI lives here as data -- name, summary,
 // description, which grid overrides it accepts -- so `topocon list`,
 // `topocon describe`, and future workloads all read one registry instead
-// of hand-rolled driver loops (ROADMAP: "scenarios as SweepSpecs", now
-// "scenarios as query plans").
+// of hand-rolled driver loops (ROADMAP: "scenarios as query plans").
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -51,8 +52,8 @@ bool commit_next_level(FrontierEngine& engine, std::size_t chunk_states = 0) {
   return true;
 }
 
-void expect_states_equal(const std::vector<PrefixState>& a,
-                         const std::vector<PrefixState>& b,
+void expect_states_equal(std::span<const PrefixState> a,
+                         std::span<const PrefixState> b,
                          const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -26,7 +26,6 @@ using sweep::JsonReader;
 using sweep::JsonStyle;
 using sweep::JsonValue;
 using sweep::JsonWriter;
-using sweep::SweepSpec;
 
 TEST(JsonReaderTest, ParsesPrimitivesAndPreservesMemberOrder) {
   const JsonValue value = JsonReader::parse(

@@ -2,7 +2,7 @@
 // (including nesting), exact agreement of the chunk-sharded level driver
 // with the single-scan reference (at several forced chunk sizes), the
 // incremental deepening on shards kept across depths, on the calling
-// thread and on pools, SweepSpec execution with deterministic result
+// thread and on pools, sweep execution with deterministic result
 // ordering, and byte-identical JSON across thread counts.
 #include <atomic>
 #include <functional>
@@ -30,7 +30,7 @@ namespace {
 using sweep::JobKind;
 using sweep::JobOutcome;
 using sweep::JsonWriter;
-using sweep::SweepSpec;
+using sweep::SweepJob;
 using sweep::ThreadPool;
 
 // ---- ThreadPool ---------------------------------------------------------
@@ -508,7 +508,7 @@ TEST(ParallelDeepening, CertifiedTableMatchesSerial) {
   });
 }
 
-// ---- SweepSpec / run_sweep_on -------------------------------------------
+// ---- run_sweep_on -------------------------------------------------------
 
 sweep::SweepJob make_solvability_job(const FamilyPoint& point,
                                      const SolvabilityOptions& options) {
@@ -528,19 +528,17 @@ sweep::SweepJob make_series_job(const FamilyPoint& point,
   return job;
 }
 
-SweepSpec small_spec() {
-  SweepSpec spec;
-  spec.name = "unit";
+std::vector<SweepJob> small_spec() {
+  std::vector<SweepJob> jobs;
   SolvabilityOptions options;
   options.max_depth = 5;
   for (const int mask : {1, 2, 3, 5, 7}) {
-    spec.jobs.push_back(
-        make_solvability_job({"lossy_link", 2, mask}, options));
+    jobs.push_back(make_solvability_job({"lossy_link", 2, mask}, options));
   }
   AnalysisOptions series;
   series.depth = 4;
-  spec.jobs.push_back(make_series_job({"lossy_link", 2, 7}, series));
-  return spec;
+  jobs.push_back(make_series_job({"lossy_link", 2, 7}, series));
+  return jobs;
 }
 
 std::string spec_json(const std::vector<JobOutcome>& outcomes) {
@@ -581,12 +579,12 @@ TEST(RunSweepOn, JsonIdenticalUnderFinestChunking) {
 
 TEST(RunSweepOn, OnJobDoneHookSeesEveryJobExactlyOnceWithFinalAggregates) {
   for (const int threads : {1, 4}) {
-    const SweepSpec spec = small_spec();
-    std::vector<int> calls(spec.jobs.size(), 0);
-    std::vector<sweep::JobRecord> from_hook(spec.jobs.size());
+    const std::vector<SweepJob> spec = small_spec();
+    std::vector<int> calls(spec.size(), 0);
+    std::vector<sweep::JobRecord> from_hook(spec.size());
     sweep::SweepHooks hooks;
     hooks.on_job_done = [&](std::size_t j, const JobOutcome& outcome) {
-      // Serialized by the engine's internal mutex; j indexes spec.jobs.
+      // Serialized by the engine's internal mutex; j indexes spec.
       ++calls[j];
       from_hook[j] = sweep::summarize(outcome);
     };
@@ -603,11 +601,10 @@ TEST(RunSweepOn, OnJobDoneHookSeesEveryJobExactlyOnceWithFinalAggregates) {
 }
 
 TEST(RunSweepOn, SeriesContinuesPastSeparation) {
-  SweepSpec spec;
-  spec.name = "series";
   AnalysisOptions series;
   series.depth = 3;
-  spec.jobs.push_back(make_series_job({"lossy_link", 2, 0b011}, series));
+  const std::vector<SweepJob> spec = {
+      make_series_job({"lossy_link", 2, 0b011}, series)};
   ThreadPool pool(2);
   const auto outcomes = sweep::run_sweep_on(spec, pool);
   ASSERT_EQ(outcomes.size(), 1u);
@@ -621,16 +618,16 @@ TEST(SweepRegistry, DisabledByDefaultAndRecordsInRunOrderWhenEnabled) {
   sweep::SweepRegistry::instance().clear();
   sweep::SweepRegistry::instance().set_enabled(false);
   ThreadPool pool(2);
-  SweepSpec disabled_spec = small_spec();
-  disabled_spec.jobs.resize(1);
+  std::vector<SweepJob> disabled_spec = small_spec();
+  disabled_spec.resize(1);
   sweep::SweepRegistry::instance().record(
-      disabled_spec.name, sweep::run_sweep_on(disabled_spec, pool));
+      "unit", sweep::run_sweep_on(disabled_spec, pool));
   EXPECT_TRUE(sweep::SweepRegistry::instance().empty())
       << "registry retained outcomes while disabled";
 
   sweep::SweepRegistry::instance().set_enabled(true);
-  SweepSpec spec = small_spec();
-  spec.jobs.resize(2);
+  std::vector<SweepJob> spec = small_spec();
+  spec.resize(2);
   const std::vector<JobOutcome> outcomes = sweep::run_sweep_on(spec, pool);
   sweep::SweepRegistry::instance().record("first", outcomes);
   sweep::SweepRegistry::instance().record("second", outcomes);
@@ -676,12 +673,12 @@ TEST(JsonWriterTest, EscapesAndNests) {
 // ---- run_sweep_on hooks -------------------------------------------------
 
 TEST(RunSweepOn, StreamsHooksInOrder) {
-  SweepSpec spec = small_spec();
+  const std::vector<SweepJob> spec = small_spec();
   ThreadPool pool(2);
-  std::vector<int> starts(spec.jobs.size(), 0);
-  std::vector<std::vector<int>> depths(spec.jobs.size());
-  std::vector<int> chunks(spec.jobs.size(), 0);
-  std::vector<int> dones(spec.jobs.size(), 0);
+  std::vector<int> starts(spec.size(), 0);
+  std::vector<std::vector<int>> depths(spec.size());
+  std::vector<int> chunks(spec.size(), 0);
+  std::vector<int> dones(spec.size(), 0);
   sweep::SweepHooks hooks;
   hooks.on_job_start = [&](std::size_t j, const sweep::SweepJob&) {
     ++starts[j];
@@ -713,14 +710,12 @@ TEST(RunSweepOn, StreamsHooksInOrder) {
 }
 
 TEST(RunSweepOn, DecisionTableJobExtractsRoundProfile) {
-  SweepSpec spec;
-  spec.name = "extract";
   sweep::SweepJob job;
   job.point = {"lossy_link", 2, 0b011};
   job.kind = sweep::JobKind::kDecisionTable;
   job.solve.max_depth = 5;
   job.solve.build_table = false;  // forced on by the engine for this kind
-  spec.jobs.push_back(job);
+  const std::vector<SweepJob> spec = {job};
   ThreadPool pool(2);
   const std::vector<JobOutcome> outcomes = sweep::run_sweep_on(spec, pool);
   ASSERT_EQ(outcomes.size(), 1u);

@@ -249,6 +249,46 @@ TEST(TraceWriter, DeepeningLabelsChunksWithTheirLevelsDepth) {
   }
 }
 
+// Each level span carries the memory of its stage: `pending_bytes`, the
+// pages the roots' merged pending columns hold, and `pool_bytes`, what
+// the job's page pool has mapped when the level is committed -- which
+// includes the committed level itself.
+TEST(TraceWriter, LevelSpansCarryPendingAndPoolBytes) {
+  std::ostringstream out;
+  std::vector<std::uint64_t> states;
+  {
+    TraceWriter writer(out);
+    telemetry::MetricsRegistry registry(&writer);
+    SolvabilityOptions options;
+    options.max_depth = 4;
+    options.metrics = &registry;
+    sweep::ThreadPool pool(2);
+    ShardingOptions sharding;
+    sharding.chunk_states = 2;
+    check_solvability(*make_lossy_link(0b111), options,
+                      pool.as_parallel_for(), {}, sharding);
+  }
+  const sweep::JsonValue doc = sweep::JsonReader::parse(out.str());
+  std::size_t levels = 0;
+  for (const sweep::JsonValue& event : doc.elements) {
+    if (event.at("ph").as_string() != "X" ||
+        event.at("cat").as_string() != "level") {
+      continue;
+    }
+    ++levels;
+    const sweep::JsonValue& args = event.at("args");
+    const std::uint64_t level_states = args.at("states").as_uint();
+    const std::uint64_t pending = args.at("pending_bytes").as_uint();
+    const std::uint64_t pool_bytes = args.at("pool_bytes").as_uint();
+    // Page-backed: whole pages, at least one per non-empty column.
+    EXPECT_GT(pending, 0u);
+    EXPECT_EQ(pending % 4096, 0u);
+    EXPECT_GE(pending, level_states * sizeof(PendingState));
+    EXPECT_GE(pool_bytes, level_states * sizeof(PrefixState));
+  }
+  EXPECT_EQ(levels, 4u);
+}
+
 // Shard assembly and component labelling each emit one span per depth
 // pass (cheap or certify), nested in time inside that pass's depth span
 // and carrying its depth. The absorb of the new views is one span nested
