@@ -152,6 +152,7 @@ class PageColumn {
   }
   /// Appends `count` values, which must not lie in this column.
   void append(const T* values, std::size_t count) {
+    assert(values + count <= data() || values >= data() + capacity_);
     if (count != 0) std::memcpy(extend(count), values, count * sizeof(T));
   }
   /// Adds `count` values of unspecified content (zero or recycled) to
