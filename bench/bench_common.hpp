@@ -13,7 +13,6 @@
 #pragma once
 
 #include <benchmark/benchmark.h>
-#include <sys/resource.h>
 
 #include <iostream>
 #include <string_view>
@@ -28,25 +27,10 @@ namespace topocon {
 /// once by TOPOCON_BENCH_MAIN before either runs.
 inline int bench_threads = 0;
 
-/// Process-lifetime peak resident set in bytes (getrusage ru_maxrss is
-/// KiB on Linux); 0 when unavailable. Attached to benchmark rows as the
-/// "peak_rss_bytes" counter so the bench regression gate
-/// (runtime/sweep/bench_compare.hpp) can catch memory regressions, not
-/// just time ones. Lifetime-max semantics mean the counter is only
-/// meaningful under a --filter that isolates the benchmark -- exactly
-/// how the gate lane runs (tools/bench_gate.cmake).
-inline void set_peak_rss_counter(benchmark::State& state) {
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return;
-  state.counters["peak_rss_bytes"] =
-      benchmark::Counter(static_cast<double>(usage.ru_maxrss) * 1024.0);
-}
-
 /// Whether to print the report before the benchmarks: always, except
 /// under --benchmark_filter without --sweep-json. A filtered run measures
-/// the benchmarks it selects, and peak_rss_bytes is a process-lifetime
-/// maximum that the report's sweeps would otherwise set; --sweep-json
-/// asks for exactly those sweeps, so it keeps the report.
+/// only the benchmarks it selects, so it skips the report's sweeps;
+/// --sweep-json asks for exactly those sweeps, so it keeps the report.
 inline bool wants_report(int argc, char** argv,
                          const sweep::SweepCliOptions& sweep_options) {
   if (!sweep_options.json_path.empty()) return true;

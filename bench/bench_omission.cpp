@@ -113,7 +113,6 @@ void BM_CheckOmission(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(check_solvability(*ma, options));
   }
-  set_peak_rss_counter(state);
 }
 BENCHMARK(BM_CheckOmission)->Args({2, 0})->Args({2, 1})->Args({3, 1})->Args({3, 2});
 
@@ -132,7 +131,6 @@ void BM_ParallelCheckOmission(benchmark::State& state) {
     benchmark::DoNotOptimize(
         check_solvability(*ma, options, pool.as_parallel_for()));
   }
-  set_peak_rss_counter(state);
 }
 BENCHMARK(BM_ParallelCheckOmission)->Args({3, 1})->Args({3, 2});
 
@@ -156,7 +154,6 @@ void BM_ChunkedCheckOmission(benchmark::State& state) {
     benchmark::DoNotOptimize(check_solvability(
         *ma, options, pool.as_parallel_for(), {}, sharding));
   }
-  set_peak_rss_counter(state);
 }
 BENCHMARK(BM_ChunkedCheckOmission)
     ->Args({3, 2, 64})

@@ -153,13 +153,6 @@ std::uint64_t JsonValue::as_uint() const {
   throw std::runtime_error("json: expected non-negative integer");
 }
 
-double JsonValue::as_double() const {
-  if (kind == Kind::kDouble) return double_number;
-  if (kind == Kind::kInt) return static_cast<double>(int_number);
-  if (kind == Kind::kUint) return static_cast<double>(uint_number);
-  throw std::runtime_error("json: expected number");
-}
-
 const std::string& JsonValue::as_string() const {
   if (kind != Kind::kString) throw std::runtime_error("json: expected string");
   return string;
@@ -178,10 +171,6 @@ void write_json_value(JsonWriter& writer, const JsonValue& value) {
     case JsonValue::Kind::kUint:
       writer.value(value.uint_number);
       return;
-    case JsonValue::Kind::kDouble:
-      // Floats exist only in float-mode parses of foreign documents; the
-      // canonical writer has no deterministic formatting for them.
-      throw std::runtime_error("json: cannot serialize floating point");
     case JsonValue::Kind::kString:
       writer.value(value.string);
       return;
@@ -211,8 +200,8 @@ namespace {
 constexpr int kMaxNesting = 64;
 }  // namespace
 
-JsonValue JsonReader::parse(std::string_view text, JsonNumbers numbers) {
-  JsonReader reader(text, numbers);
+JsonValue JsonReader::parse(std::string_view text) {
+  JsonReader reader(text);
   reader.skip_whitespace();
   JsonValue value = reader.parse_value(0);
   reader.skip_whitespace();
@@ -394,28 +383,7 @@ JsonValue JsonReader::parse_number() {
   if (peek() < '0' || peek() > '9') fail("invalid value");
   while (peek() >= '0' && peek() <= '9') take();
   if (peek() == '.' || peek() == 'e' || peek() == 'E') {
-    if (numbers_ == JsonNumbers::kIntegersOnly) {
-      fail("floating-point numbers are unsupported");
-    }
-    if (peek() == '.') {
-      take();
-      if (peek() < '0' || peek() > '9') fail("invalid fraction");
-      while (peek() >= '0' && peek() <= '9') take();
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      take();
-      if (peek() == '+' || peek() == '-') take();
-      if (peek() < '0' || peek() > '9') fail("invalid exponent");
-      while (peek() >= '0' && peek() <= '9') take();
-    }
-    JsonValue value;
-    value.kind = JsonValue::Kind::kDouble;
-    const auto [ptr, ec] = std::from_chars(
-        text_.data() + start, text_.data() + pos_, value.double_number);
-    if (ec != std::errc() || ptr != text_.data() + pos_) {
-      fail("number out of range");
-    }
-    return value;
+    fail("floating-point numbers are unsupported");
   }
   const char* first = text_.data() + start;
   const char* last = text_.data() + pos_;

@@ -4,8 +4,8 @@
 // stable two-space indentation (or a single-line compact style for
 // checkpoint lines) and no locale dependence, so two runs that produce
 // the same logical results produce byte-identical documents -- the
-// property the bench trajectory, the checkpoint/resume machinery, and
-// the determinism tests rely on. Only the types the sweep engine needs
+// property the checkpoint/resume machinery, the goldens, and the
+// determinism tests rely on. Only the types the sweep engine needs
 // are supported (strings, integers, booleans, nested containers); no
 // floating point, whose formatting is the classic source of cross-run
 // diffs. JsonReader is the exact parsing counterpart: it accepts the
@@ -95,7 +95,6 @@ struct JsonValue {
     kBool,
     kInt,
     kUint,
-    kDouble,  // float-mode parses only; the canonical writer never emits it
     kString,
     kArray,
     kObject
@@ -105,7 +104,6 @@ struct JsonValue {
   bool boolean = false;
   std::int64_t int_number = 0;     // kInt
   std::uint64_t uint_number = 0;   // kUint
-  double double_number = 0;        // kDouble
   std::string string;
   std::vector<JsonValue> elements;                         // kArray
   std::vector<std::pair<std::string, JsonValue>> members;  // kObject
@@ -125,12 +123,10 @@ struct JsonValue {
   const JsonValue& at(std::string_view key) const;
 
   /// Checked accessors; every one throws std::runtime_error on a kind
-  /// mismatch (as_int accepts kUint values that fit, and vice versa;
-  /// as_double accepts any numeric kind).
+  /// mismatch (as_int accepts kUint values that fit, and vice versa).
   bool as_bool() const;
   std::int64_t as_int() const;
   std::uint64_t as_uint() const;
-  double as_double() const;
   const std::string& as_string() const;
 };
 
@@ -142,26 +138,16 @@ struct JsonValue {
 /// container layer knowing their schema.
 void write_json_value(JsonWriter& writer, const JsonValue& value);
 
-/// Which numeric literals JsonReader accepts. kIntegersOnly is the
-/// deterministic subset (floats rejected by design, see the header
-/// comment); kAllowFloats additionally parses floating-point literals as
-/// kDouble values -- for FOREIGN documents only (google-benchmark output,
-/// bench_compare baselines), never for topocon's own artifacts, which
-/// must stay round-trippable through the integer-only writer.
-enum class JsonNumbers { kIntegersOnly, kAllowFloats };
-
 /// Parser for the deterministic JSON subset (the counterpart of
 /// JsonWriter). Throws std::runtime_error with a byte offset on malformed
-/// input; floating-point literals are rejected unless opted into.
+/// input, floating-point literals included.
 class JsonReader {
  public:
   /// Parses exactly one document (trailing whitespace allowed).
-  static JsonValue parse(std::string_view text,
-                         JsonNumbers numbers = JsonNumbers::kIntegersOnly);
+  static JsonValue parse(std::string_view text);
 
  private:
-  explicit JsonReader(std::string_view text, JsonNumbers numbers)
-      : text_(text), numbers_(numbers) {}
+  explicit JsonReader(std::string_view text) : text_(text) {}
 
   JsonValue parse_value(int depth);
   std::string parse_string();
@@ -174,7 +160,6 @@ class JsonReader {
   [[noreturn]] void fail(const std::string& message) const;
 
   std::string_view text_;
-  JsonNumbers numbers_ = JsonNumbers::kIntegersOnly;
   std::size_t pos_ = 0;
 };
 

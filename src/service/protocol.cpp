@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "api/query.hpp"
-#include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
 #include "runtime/sweep/json.hpp"
 
@@ -44,8 +43,6 @@ std::string version_line() {
   line += sweep::kSweepSchema;
   line += ", ";
   line += sweep::kCheckpointSchema;
-  line += ", ";
-  line += sweep::kBenchBaselineSchema;
   line += ", ";
   line += kServeSchema;
   line += ")";
@@ -190,7 +187,6 @@ std::string hello_line() {
   writer.begin_object();
   writer.member("sweep", sweep::kSweepSchema);
   writer.member("checkpoint", sweep::kCheckpointSchema);
-  writer.member("bench_baseline", sweep::kBenchBaselineSchema);
   writer.end_object();
   writer.end_object();
   return finish(out);

@@ -1,4 +1,4 @@
-// The topocon serve wire protocol: newline-delimited JSON, version 1.
+// The topocon serve wire protocol: newline-delimited JSON, version 2.
 //
 // Every frame is one compact JSON object on one line. The server greets
 // each connection with a `hello` line carrying the protocol number and
@@ -34,12 +34,12 @@
 
 namespace topocon::service {
 
-inline constexpr int kServeProtocolVersion = 1;
+inline constexpr int kServeProtocolVersion = 2;
 inline constexpr std::string_view kServeSchema = "topocon-serve-v1";
 
 /// One-line version banner: serve protocol plus every artifact schema a
 /// client may negotiate against (`topocon --version` and the hello
-/// frame's "versions" member carry the same facts).
+/// frame's "version" member carry the same facts).
 std::string version_line();
 
 /// The canonical memoization key of a plan (see the header comment).

@@ -179,9 +179,8 @@ TEST(Protocol, VersionLineNamesEverySchema) {
   const std::string line = service::version_line();
   EXPECT_NE(line.find("topocon-sweep-v1"), std::string::npos);
   EXPECT_NE(line.find("topocon-sweep-ckpt-v1"), std::string::npos);
-  EXPECT_NE(line.find("topocon-bench-baseline-v1"), std::string::npos);
   EXPECT_NE(line.find("topocon-serve-v1"), std::string::npos);
-  EXPECT_NE(line.find("serve protocol 1"), std::string::npos);
+  EXPECT_NE(line.find("serve protocol 2"), std::string::npos);
 }
 
 TEST(Protocol, ParsesScenarioSubmit) {
@@ -315,7 +314,15 @@ TEST(ServeEndToEnd, CacheHitReturnsIdenticalBytesWithoutRecompute) {
   ServeClient client = harness.connect();
   EXPECT_EQ(parse_frame(client.hello()).at("schema").as_string(),
             "topocon-serve-v1");
-  EXPECT_EQ(parse_frame(client.hello()).at("protocol").as_int(), 1);
+  EXPECT_EQ(parse_frame(client.hello()).at("protocol").as_int(), 2);
+  // The version object names exactly the artifact schemas a client may
+  // negotiate against.
+  const sweep::JsonValue version = parse_frame(client.hello()).at("version");
+  ASSERT_EQ(version.members.size(), 2u);
+  EXPECT_EQ(version.members[0].first, "sweep");
+  EXPECT_EQ(version.members[0].second.as_string(), "topocon-sweep-v1");
+  EXPECT_EQ(version.members[1].first, "checkpoint");
+  EXPECT_EQ(version.members[1].second.as_string(), "topocon-sweep-ckpt-v1");
 
   // What `topocon run lossy-link-atlas --param-min=1 --param-max=2
   // --json=...` would write, computed directly on a fresh Session.

@@ -1,13 +1,11 @@
 // The telemetry subsystem: MetricsRegistry aggregation under concurrent
 // flushes, the determinism contract of the per-job counters (identical
 // across thread counts, including the budget-abort path), the opt-in
-// "telemetry" JSON section and its round-trip, artifact byte-stability
-// with telemetry surfaces enabled, and the bench regression gate
-// (baseline parsing, google-benchmark result parsing, compare policy).
+// "telemetry" JSON section and its round-trip, and artifact
+// byte-stability with telemetry surfaces enabled.
 #include <cstdint>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,9 +14,7 @@
 
 #include "api/api.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
-#include "runtime/sweep/json.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace topocon {
@@ -238,168 +234,6 @@ TEST(Telemetry, CollectionDoesNotChangeArtifactBytes) {
   collecting.write_json(collecting_json);
   EXPECT_EQ(plain_json.str(), collecting_json.str());
   EXPECT_TRUE(capture.snapshots[0].has_value());
-}
-
-// ---- Bench regression gate ------------------------------------------------
-
-TEST(BenchCompare, ParsesBaselineWithOverrides) {
-  const sweep::BenchBaseline baseline = sweep::parse_bench_baseline(R"({
-    "schema": "topocon-bench-baseline-v1",
-    "default_tolerance_pct": 300,
-    "benchmarks": [
-      {"name": "BM_A/1", "real_time_ns": 1000},
-      {"name": "BM_B/2", "real_time_ns": 2000, "tolerance_pct": 50,
-       "peak_rss_bytes": 150000000, "rss_tolerance_pct": 200}
-    ]
-  })");
-  EXPECT_EQ(baseline.default_tolerance_pct, 300u);
-  ASSERT_EQ(baseline.benchmarks.size(), 2u);
-  EXPECT_EQ(baseline.benchmarks[0].name, "BM_A/1");
-  EXPECT_EQ(baseline.benchmarks[0].real_time_ns, 1000u);
-  EXPECT_FALSE(baseline.benchmarks[0].tolerance_pct.has_value());
-  EXPECT_FALSE(baseline.benchmarks[0].peak_rss_bytes.has_value());
-  EXPECT_EQ(baseline.benchmarks[1].tolerance_pct, 50u);
-  EXPECT_EQ(baseline.benchmarks[1].peak_rss_bytes, 150000000u);
-  EXPECT_EQ(baseline.benchmarks[1].rss_tolerance_pct, 200u);
-}
-
-TEST(BenchCompare, RejectsUnknownSchema) {
-  EXPECT_THROW(
-      sweep::parse_bench_baseline(
-          R"({"schema": "nope", "default_tolerance_pct": 1,
-              "benchmarks": []})"),
-      std::runtime_error);
-}
-
-TEST(BenchCompare, BaselineWriteParsesBack) {
-  sweep::BenchBaseline baseline;
-  baseline.default_tolerance_pct = 250;
-  baseline.benchmarks.push_back(
-      {"BM_X/3/1", 123456, std::nullopt, std::nullopt, std::nullopt});
-  baseline.benchmarks.push_back(
-      {"BM_Y", 99, 500, std::nullopt, std::nullopt});
-  baseline.benchmarks.push_back({"BM_Z", 7, std::nullopt, 88'000'000, 150});
-  const std::string text = sweep::write_bench_baseline(baseline);
-  const sweep::BenchBaseline parsed = sweep::parse_bench_baseline(text);
-  EXPECT_EQ(parsed.default_tolerance_pct, 250u);
-  ASSERT_EQ(parsed.benchmarks.size(), 3u);
-  EXPECT_EQ(parsed.benchmarks[0].name, "BM_X/3/1");
-  EXPECT_EQ(parsed.benchmarks[0].real_time_ns, 123456u);
-  EXPECT_FALSE(parsed.benchmarks[0].peak_rss_bytes.has_value());
-  EXPECT_EQ(parsed.benchmarks[1].tolerance_pct, 500u);
-  EXPECT_EQ(parsed.benchmarks[2].peak_rss_bytes, 88'000'000u);
-  EXPECT_EQ(parsed.benchmarks[2].rss_tolerance_pct, 150u);
-}
-
-// google-benchmark output: floats parse, repetitions collapse to the
-// minimum, aggregate rows are skipped, time units normalize to ns.
-TEST(BenchCompare, ParsesBenchmarkResults) {
-  const auto measurements = sweep::parse_benchmark_results(R"({
-    "context": {"date": "2026-08-07", "num_cpus": 1},
-    "benchmarks": [
-      {"name": "BM_A/1", "run_type": "iteration",
-       "real_time": 1.5e3, "time_unit": "ns", "peak_rss_bytes": 5.0e7},
-      {"name": "BM_A/1", "run_type": "iteration",
-       "real_time": 1.2e3, "time_unit": "ns", "peak_rss_bytes": 6.0e7},
-      {"name": "BM_A/1_mean", "run_type": "aggregate",
-       "real_time": 9.9e9, "time_unit": "ns"},
-      {"name": "BM_B/2", "run_type": "iteration",
-       "real_time": 2.5, "time_unit": "us"}
-    ]
-  })");
-  ASSERT_EQ(measurements.size(), 2u);
-  EXPECT_EQ(measurements[0].name, "BM_A/1");
-  EXPECT_DOUBLE_EQ(measurements[0].real_time_ns, 1200.0);
-  // Times collapse to the minimum, the RSS high-water mark to the max.
-  EXPECT_DOUBLE_EQ(measurements[0].peak_rss_bytes, 6.0e7);
-  EXPECT_EQ(measurements[1].name, "BM_B/2");
-  EXPECT_DOUBLE_EQ(measurements[1].real_time_ns, 2500.0);
-  EXPECT_DOUBLE_EQ(measurements[1].peak_rss_bytes, 0.0);  // not reported
-}
-
-TEST(BenchCompare, GatePassesWithinToleranceAndFlagsRegressions) {
-  sweep::BenchBaseline baseline;
-  baseline.default_tolerance_pct = 100;  // 2x allowed
-  baseline.benchmarks.push_back(
-      {"BM_ok", 1000, std::nullopt, std::nullopt, std::nullopt});
-  baseline.benchmarks.push_back(
-      {"BM_slow", 1000, std::nullopt, std::nullopt, std::nullopt});
-  baseline.benchmarks.push_back(
-      {"BM_tight", 1000, 10, std::nullopt, std::nullopt});
-  baseline.benchmarks.push_back(
-      {"BM_gone", 1000, std::nullopt, std::nullopt, std::nullopt});
-  const std::vector<sweep::BenchMeasurement> measurements = {
-      {"BM_ok", 1999.0, 0.0},
-      {"BM_slow", 2001.0, 0.0},
-      {"BM_tight", 1200.0, 0.0},
-      {"BM_extra_is_ignored", 1.0, 0.0},
-  };
-  const sweep::BenchCompareReport report =
-      sweep::compare_bench_results(baseline, measurements);
-  ASSERT_EQ(report.rows.size(), 4u);
-  EXPECT_FALSE(report.rows[0].regressed);
-  EXPECT_TRUE(report.rows[1].regressed);
-  EXPECT_TRUE(report.rows[2].regressed);  // per-benchmark override bites
-  EXPECT_TRUE(report.rows[3].missing);
-  EXPECT_FALSE(report.ok());
-
-  // Drop the offenders: the remaining rows pass.
-  baseline.benchmarks.resize(1);
-  EXPECT_TRUE(sweep::compare_bench_results(baseline, measurements).ok());
-}
-
-TEST(BenchCompare, GateChecksPeakRssWhenTheBaselineBoundsIt) {
-  sweep::BenchBaseline baseline;
-  baseline.default_tolerance_pct = 100;  // 2x allowed
-  baseline.benchmarks.push_back(
-      {"BM_rss_ok", 1000, std::nullopt, 1'000'000, std::nullopt});
-  baseline.benchmarks.push_back(
-      {"BM_rss_fat", 1000, std::nullopt, 1'000'000, std::nullopt});
-  baseline.benchmarks.push_back(
-      {"BM_rss_tight", 1000, std::nullopt, 1'000'000, 10});
-  baseline.benchmarks.push_back(
-      {"BM_rss_gone", 1000, std::nullopt, 1'000'000, std::nullopt});
-  baseline.benchmarks.push_back(
-      {"BM_ungated", 1000, std::nullopt, std::nullopt, std::nullopt});
-  const std::vector<sweep::BenchMeasurement> measurements = {
-      {"BM_rss_ok", 1500.0, 1'999'000.0},
-      {"BM_rss_fat", 1500.0, 2'001'000.0},
-      {"BM_rss_tight", 1500.0, 1'200'000.0},
-      {"BM_rss_gone", 1500.0, 0.0},      // counter vanished: must fail
-      {"BM_ungated", 1500.0, 9.9e12},    // no baseline bound: ignored
-  };
-  const sweep::BenchCompareReport report =
-      sweep::compare_bench_results(baseline, measurements);
-  ASSERT_EQ(report.rows.size(), 5u);
-  EXPECT_FALSE(report.rows[0].rss_regressed);
-  EXPECT_EQ(report.rows[0].baseline_rss, 1'000'000u);
-  EXPECT_DOUBLE_EQ(report.rows[0].current_rss, 1'999'000.0);
-  EXPECT_TRUE(report.rows[1].rss_regressed);
-  EXPECT_FALSE(report.rows[1].regressed);  // the time leg is independent
-  EXPECT_TRUE(report.rows[2].rss_regressed);  // per-row override bites
-  EXPECT_TRUE(report.rows[3].rss_missing);
-  EXPECT_FALSE(report.rows[4].rss_missing);
-  EXPECT_FALSE(report.rows[4].rss_regressed);
-  EXPECT_FALSE(report.ok());
-
-  // A fully within-bounds subset passes.
-  baseline.benchmarks.resize(1);
-  EXPECT_TRUE(sweep::compare_bench_results(baseline, measurements).ok());
-}
-
-// The reader's float mode is opt-in: the deterministic integer-only
-// subset keeps rejecting floats.
-TEST(BenchCompare, FloatParsingIsOptIn) {
-  EXPECT_THROW(sweep::JsonReader::parse("{\"x\": 1.5}"),
-               std::runtime_error);
-  const sweep::JsonValue value = sweep::JsonReader::parse(
-      "{\"x\": 1.5, \"y\": -2e-2, \"z\": 7}",
-      sweep::JsonNumbers::kAllowFloats);
-  EXPECT_DOUBLE_EQ(value.at("x").as_double(), 1.5);
-  EXPECT_DOUBLE_EQ(value.at("y").as_double(), -0.02);
-  EXPECT_DOUBLE_EQ(value.at("z").as_double(), 7.0);
-  EXPECT_EQ(value.at("z").as_uint(), 7u);
-  EXPECT_THROW(value.at("x").as_uint(), std::runtime_error);
 }
 
 }  // namespace

@@ -12,9 +12,6 @@
 //                       [--metrics] [--trace=PATH]
 //   topocon fuzz [--seed=N] [--count=N] [--n=N] [--depth=N] [--threads=N]
 //                [--trace=PATH]
-//   topocon bench [BINARY...] [--bench-dir=PATH] [--filter=REGEX]
-//                 [--repetitions=N] [--json=PATH]
-//                 [--compare=BASELINE] [--input=RESULTS]
 //
 // `run` expands the scenario into an api::Plan (a named list of pure-data
 // api::Query values) and executes it on one api::Session. With
@@ -49,15 +46,6 @@
 // label to stderr and exits 1. The stdout table carries no timings, so a
 // fixed seed is byte-reproducible across runs and thread counts.
 //
-// `bench` wraps the google-benchmark binaries of the build tree so the
-// perf trajectory has one operator entry point: `--filter` and
-// `--repetitions` forward to the benchmark flags, `--json` captures the
-// benchmark JSON artifact (one selected binary). `--compare=BASELINE`
-// turns the command into a regression gate: the captured results (or an
-// existing file via `--input`, which skips running anything) are checked
-// against the committed baseline (runtime/sweep/bench_compare.hpp) and a
-// regression or a missing benchmark exits 1.
-//
 // Observability (see telemetry/metrics.hpp for the determinism
 // contract): `--metrics` prints a per-job counter table on stderr after
 // run/resume, `--trace=PATH` writes a Chrome-trace span file
@@ -68,8 +56,8 @@
 // uninterrupted one. None of the three changes stdout or the artifact
 // bytes other than that opt-in section.
 //
-// Exit codes: 0 success, 1 I/O, benchmark, or bench-gate failure,
-// 2 usage error, 3 simulated crash (--fail-after, testing only).
+// Exit codes: 0 success, 1 I/O failure or fuzz divergence, 2 usage
+// error, 3 simulated crash (--fail-after, testing only).
 #include <unistd.h>
 
 #include <algorithm>
@@ -78,9 +66,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -92,7 +78,6 @@
 #include "analysis/report.hpp"
 #include "api/api.hpp"
 #include "core/solvability.hpp"
-#include "runtime/sweep/bench_compare.hpp"
 #include "runtime/sweep/checkpoint.hpp"
 #include "runtime/sweep/cli.hpp"
 #include "runtime/sweep/thread_pool.hpp"
@@ -120,7 +105,6 @@ int usage(std::ostream& out, int code) {
          "sweep\n"
          "  fuzz [FLAGS]              differential-test seeded composed "
          "adversaries\n"
-         "  bench [BINARY...] [FLAGS] run the google-benchmark binaries\n"
          "  serve [FLAGS]             long-running sweep daemon on a Unix "
          "socket\n"
          "  client [FLAGS] ACTION     drive a running daemon "
@@ -191,28 +175,6 @@ int usage(std::ostream& out, int code) {
          "  --trace=PATH              write a Chrome-trace span file of "
          "every\n"
          "                            checker leg\n"
-         "\n"
-         "bench flags:\n"
-         "  --bench-dir=PATH          directory holding the bench_* "
-         "binaries\n"
-         "                            (default: the bench/ directory of "
-         "the build\n"
-         "                            tree this topocon sits in)\n"
-         "  --filter=REGEX            forwarded as --benchmark_filter\n"
-         "  --repetitions=N           forwarded as "
-         "--benchmark_repetitions\n"
-         "  --json=PATH               benchmark JSON artifact "
-         "(--benchmark_out);\n"
-         "                            requires exactly one selected "
-         "binary\n"
-         "  --compare=BASELINE        gate the results against a "
-         "committed baseline\n"
-         "                            (bench/baselines/*.json); "
-         "regressions exit 1\n"
-         "  --input=RESULTS           compare an existing benchmark JSON "
-         "file\n"
-         "                            instead of running anything "
-         "(with --compare)\n"
          "\n"
          "serve flags:\n"
          "  --socket=PATH             Unix-domain socket to listen on "
@@ -1177,259 +1139,6 @@ int cmd_fuzz(const FuzzFlags& flags) {
   return 0;
 }
 
-/// POSIX-shell single quoting, safe for any byte except NUL.
-std::string shell_quote(const std::string& text) {
-  std::string quoted = "'";
-  for (const char c : text) {
-    if (c == '\'') {
-      quoted += "'\\''";
-    } else {
-      quoted += c;
-    }
-  }
-  quoted += "'";
-  return quoted;
-}
-
-/// The bench regression gate: compares a google-benchmark JSON results
-/// file against a committed baseline and prints one verdict row per
-/// baseline benchmark. Exit 0 = within tolerance, 1 = a regression or a
-/// baseline benchmark missing from the results.
-int run_bench_gate(const std::string& baseline_path,
-                   const std::string& results_path) {
-  const auto slurp = [](const std::string& file_path,
-                        std::string* text) {
-    std::ifstream in(file_path);
-    if (!in) return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    *text = buffer.str();
-    return true;
-  };
-  std::string baseline_text;
-  std::string results_text;
-  if (!slurp(baseline_path, &baseline_text)) {
-    std::cerr << "topocon: cannot read baseline " << baseline_path << "\n";
-    return 1;
-  }
-  if (!slurp(results_path, &results_text)) {
-    std::cerr << "topocon: cannot read results " << results_path << "\n";
-    return 1;
-  }
-  sweep::BenchCompareReport report;
-  try {
-    report = sweep::compare_bench_results(
-        sweep::parse_bench_baseline(baseline_text),
-        sweep::parse_benchmark_results(results_text));
-  } catch (const std::runtime_error& error) {
-    std::cerr << "topocon: " << error.what() << "\n";
-    return 1;
-  }
-  Table table({"benchmark", "baseline", "current", "tolerance",
-               "base RSS", "cur RSS", "status"});
-  table.align_right(1);
-  table.align_right(2);
-  table.align_right(3);
-  table.align_right(4);
-  table.align_right(5);
-  const auto mib = [](double bytes) {
-    std::ostringstream text;
-    text << std::fixed << std::setprecision(1)
-         << bytes / (1024.0 * 1024.0) << " MiB";
-    return text.str();
-  };
-  for (const sweep::BenchComparison& row : report.rows) {
-    // Built with += appends: GCC 12's -Wrestrict misfires on chained
-    // std::string operator+ here at -O2.
-    std::string baseline = std::to_string(row.baseline_ns);
-    baseline += " ns";
-    std::string current = "-";
-    if (!row.missing) {
-      current = std::to_string(static_cast<std::uint64_t>(row.current_ns));
-      current += " ns";
-    }
-    std::string tolerance = "+";
-    tolerance += std::to_string(row.tolerance_pct);
-    tolerance += "%";
-    // RSS columns stay "-" for rows whose baseline gates time only.
-    std::string base_rss = "-";
-    std::string cur_rss = "-";
-    if (row.baseline_rss > 0) {
-      base_rss = mib(static_cast<double>(row.baseline_rss));
-      if (row.current_rss > 0) cur_rss = mib(row.current_rss);
-    }
-    std::string status = "ok";
-    if (row.missing) {
-      status = "MISSING";
-    } else if (row.rss_missing) {
-      status = "RSS-MISSING";
-    } else if (row.regressed && row.rss_regressed) {
-      status = "REGRESSED+RSS";
-    } else if (row.regressed) {
-      status = "REGRESSED";
-    } else if (row.rss_regressed) {
-      status = "RSS-REGRESSED";
-    }
-    table.add_row({row.name, baseline, current, tolerance, base_rss,
-                   cur_rss, status});
-  }
-  std::cout << "Bench gate: " << results_path << " vs " << baseline_path
-            << "\n";
-  table.print(std::cout);
-  if (!report.ok()) {
-    std::cout << "FAIL: benchmark regression against " << baseline_path
-              << "\n";
-    return 1;
-  }
-  std::cout << "OK: all benchmarks within tolerance\n";
-  return 0;
-}
-
-/// `topocon bench`: wraps the google-benchmark binaries of the build
-/// tree. Positional arguments select binaries (with or without their
-/// bench_ prefix); none selects every bench_* in the bench directory.
-int cmd_bench(int argc, char** argv, const char* argv0) {
-  namespace fs = std::filesystem;
-  std::string bench_dir;
-  std::string filter;
-  int repetitions = 0;
-  std::string json_path;
-  std::string compare_path;
-  std::string input_path;
-  std::vector<std::string> names;
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    try {
-      if (const auto v = sweep::flag_value(arg, "bench-dir")) {
-        bench_dir = *v;
-      } else if (const auto v = sweep::flag_value(arg, "filter")) {
-        filter = *v;
-      } else if (const auto v = sweep::flag_value(arg, "compare")) {
-        compare_path = *v;
-      } else if (const auto v = sweep::flag_value(arg, "input")) {
-        input_path = *v;
-      } else if (const auto v = sweep::flag_value(arg, "repetitions")) {
-        repetitions = sweep::parse_int_value("repetitions", *v);
-        if (repetitions < 1) {
-          std::cerr << "topocon: --repetitions must be >= 1\n";
-          return 2;
-        }
-      } else if (const auto v = sweep::flag_value(arg, "json")) {
-        if (v->empty()) {
-          std::cerr << "topocon: --json needs a non-empty path\n";
-          return 2;
-        }
-        json_path = *v;
-      } else if (arg.rfind("--", 0) == 0) {
-        std::cerr << "topocon: unknown argument '" << arg << "'\n";
-        return 2;
-      } else {
-        names.emplace_back(arg);
-      }
-    } catch (const std::invalid_argument& error) {
-      std::cerr << "topocon: " << error.what() << "\n";
-      return 2;
-    }
-  }
-
-  if (!input_path.empty() && compare_path.empty()) {
-    std::cerr << "topocon: --input only makes sense with --compare\n";
-    return 2;
-  }
-  if (!compare_path.empty() && input_path.empty() && json_path.empty()) {
-    std::cerr << "topocon: --compare needs benchmark results: add "
-                 "--json=PATH to capture a run, or --input=PATH for an "
-                 "existing file\n";
-    return 2;
-  }
-  // Pure compare mode: gate an existing results file without running (or
-  // even having built) any benchmark binary.
-  if (!input_path.empty()) {
-    return run_bench_gate(compare_path, input_path);
-  }
-
-  // Default bench directory: the build tree's bench/ next to this
-  // binary (build/tools/topocon -> build/bench).
-  if (bench_dir.empty()) {
-    std::error_code ec;
-    fs::path exe = fs::read_symlink("/proc/self/exe", ec);
-    if (ec) exe = fs::absolute(fs::path(argv0), ec);
-    bench_dir = (exe.parent_path().parent_path() / "bench").string();
-  }
-  std::error_code ec;
-  if (!fs::is_directory(bench_dir, ec)) {
-    std::cerr << "topocon: bench directory " << bench_dir
-              << " does not exist (is this a -DTOPOCON_BUILD_BENCH=ON "
-                 "build tree? see --bench-dir)\n";
-    return 2;
-  }
-
-  std::vector<fs::path> binaries;
-  if (names.empty()) {
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(bench_dir)) {
-      const std::string name = entry.path().filename().string();
-      if (entry.is_regular_file() && name.rfind("bench_", 0) == 0 &&
-          entry.path().extension().empty()) {
-        binaries.push_back(entry.path());
-      }
-    }
-    std::sort(binaries.begin(), binaries.end());
-    if (binaries.empty()) {
-      std::cerr << "topocon: no bench_* binaries in " << bench_dir << "\n";
-      return 2;
-    }
-  } else {
-    for (const std::string& name : names) {
-      const fs::path direct = fs::path(bench_dir) / name;
-      const fs::path prefixed = fs::path(bench_dir) / ("bench_" + name);
-      if (fs::is_regular_file(direct, ec)) {
-        binaries.push_back(direct);
-      } else if (fs::is_regular_file(prefixed, ec)) {
-        binaries.push_back(prefixed);
-      } else {
-        std::cerr << "topocon: no benchmark binary '" << name << "' in "
-                  << bench_dir << "\n";
-        return 2;
-      }
-    }
-  }
-  if (!json_path.empty() && binaries.size() != 1) {
-    std::cerr << "topocon: --json captures one benchmark binary's output; "
-                 "name exactly one (got "
-              << binaries.size() << ")\n";
-    return 2;
-  }
-
-  for (const fs::path& binary : binaries) {
-    std::string command = shell_quote(binary.string());
-    if (!filter.empty()) {
-      command += " --benchmark_filter=" + shell_quote(filter);
-    }
-    if (repetitions > 0) {
-      command += " --benchmark_repetitions=" + std::to_string(repetitions);
-    }
-    if (!json_path.empty()) {
-      command += " --benchmark_out=" + shell_quote(json_path) +
-                 " --benchmark_out_format=json";
-    }
-    std::cerr << "topocon bench: " << binary.filename().string() << "\n";
-    const int code = std::system(command.c_str());
-    if (code != 0) {
-      std::cerr << "topocon: " << binary.filename().string()
-                << " failed (system() returned " << code << ")\n";
-      return 1;
-    }
-  }
-  if (!json_path.empty()) {
-    std::cerr << "topocon bench: wrote " << json_path << "\n";
-  }
-  if (!compare_path.empty()) {
-    return run_bench_gate(compare_path, json_path);
-  }
-  return 0;
-}
-
 /// The serve daemon being signalled, for SIGINT/SIGTERM-driven clean
 /// shutdown (request_stop is one pipe write, so it is signal-safe).
 std::atomic<service::Server*> g_serve_instance{nullptr};
@@ -1649,9 +1358,6 @@ int dispatch(int argc, char** argv) {
     FuzzFlags flags;
     if (!parse_fuzz_flags(argc, argv, &flags)) return 2;
     return cmd_fuzz(flags);
-  }
-  if (command == "bench") {
-    return cmd_bench(argc, argv, argv[0]);
   }
   if (command == "run" || command == "resume") {
     if (argc < 3 || argv[2][0] == '-') return usage(std::cerr, 2);
