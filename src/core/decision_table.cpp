@@ -32,9 +32,8 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
   // Bottom-up over levels; build the per-level aggregation maps.
   std::vector<std::vector<std::uint32_t>> masks_per_level(num_levels);
   {
-    const std::vector<PrefixState>& leaves = analysis.levels.back();
-    value_mask.resize(leaves.size());
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
+    value_mask.resize(analysis.leaves().size());
+    for (std::size_t i = 0; i < value_mask.size(); ++i) {
       const int comp = analysis.leaf_component[i];
       const ComponentInfo& info =
           analysis.components[static_cast<std::size_t>(comp)];
@@ -64,12 +63,14 @@ DecisionTable DecisionTable::build(const DepthAnalysis& analysis,
   table.decided_fraction_.assign(num_levels, 0.0);
   for (std::size_t s = 0; s < num_levels; ++s) {
     std::unordered_map<std::uint64_t, std::uint32_t> agg;
-    const std::vector<PrefixState>& level = analysis.levels[s];
-    for (std::size_t i = 0; i < level.size(); ++i) {
+    const Level& level = analysis.levels[s];
+    std::size_t i = 0;
+    for (const PrefixState& state : level) {
       for (int p = 0; p < n; ++p) {
-        agg[key(p, level[i].views[static_cast<std::size_t>(p)])] |=
+        agg[key(p, state.views[static_cast<std::size_t>(p)])] |=
             masks_per_level[s][i];
       }
+      ++i;
     }
     for (const auto& [k, mask] : agg) {
       if (std::popcount(mask) == 1) {

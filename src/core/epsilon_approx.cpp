@@ -106,7 +106,7 @@ void compute_components(const AnalysisOptions& options,
       options.metrics != nullptr ? options.metrics->trace() : nullptr;
   const std::uint64_t span_start = trace != nullptr ? trace->now_us() : 0;
   const int n = analysis.num_processes;
-  const std::vector<PrefixState>& leaves = analysis.levels.back();
+  const Level& leaves = analysis.leaves();
   UnionFind uf(leaves.size());
   if (options.topology == AdjacencyTopology::kMin) {
     // Minimum topology: union leaves sharing any process's view id. The
@@ -119,8 +119,9 @@ void compute_components(const AnalysisOptions& options,
       run_parallel_blocks(
           parallel_for, leaves.size(),
           [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              const ViewId id = leaves[i].views[static_cast<std::size_t>(p)];
+            Level::Cursor leaf = leaves.at(begin);
+            for (std::size_t i = begin; i < end; ++i, ++leaf) {
+              const ViewId id = leaf->views[static_cast<std::size_t>(p)];
               std::atomic_ref<int> slot(
                   first_leaf[static_cast<std::size_t>(id)]);
               int claimed = slot.load(std::memory_order_relaxed);
@@ -139,17 +140,18 @@ void compute_components(const AnalysisOptions& options,
     assert(options.pview_set != 0);
     std::map<std::vector<ViewId>, int> first_leaf;
     std::vector<ViewId> tuple;
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
+    int i = 0;
+    for (const PrefixState& leaf : leaves) {
       tuple.clear();
       NodeMask rest = options.pview_set & full_mask(n);
       while (rest != 0) {
         const int p = std::countr_zero(rest);
         rest &= rest - 1;
-        tuple.push_back(leaves[i].views[static_cast<std::size_t>(p)]);
+        tuple.push_back(leaf.views[static_cast<std::size_t>(p)]);
       }
-      const auto [it, inserted] =
-          first_leaf.try_emplace(tuple, static_cast<int>(i));
-      if (!inserted) uf.unite(it->second, static_cast<int>(i));
+      const auto [it, inserted] = first_leaf.try_emplace(tuple, i);
+      if (!inserted) uf.unite(it->second, i);
+      ++i;
     }
   }
   analysis.leaf_component = uf.component_ids(parallel_for);
@@ -176,8 +178,9 @@ void compute_components(const AnalysisOptions& options,
                                                       std::size_t end) {
     std::vector<Run>& mine = runs[block];
     std::vector<std::uint32_t>& seen = run_inputs[block];
-    for (std::size_t i = begin; i < end; ++i) {
-      const PrefixState& leaf = leaves[i];
+    Level::Cursor cursor = leaves.at(begin);
+    for (std::size_t i = begin; i < end; ++i, ++cursor) {
+      const PrefixState& leaf = *cursor;
       const int c = analysis.leaf_component[i];
       if (mine.empty() || mine.back().component != c) {
         mine.push_back(Run{c, 0, 0, ~std::uint32_t{0}, full_mask(n)});
@@ -299,7 +302,7 @@ DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,
   std::vector<PrefixState> frontier = initial_frontier(
       adversary, options, *analysis.interner, 0, num_roots);
   if (options.keep_levels) {
-    analysis.levels.push_back(frontier);
+    analysis.levels.emplace_back(frontier);
     analysis.parent.push_back(
         std::vector<std::pair<int, int>>(frontier.size(), {-1, -1}));
   }
@@ -314,13 +317,13 @@ DepthAnalysis analyze_depth_oracle(const MessageAdversary& adversary,
     frontier = std::move(next.states);
     ++level;
     if (options.keep_levels) {
-      analysis.levels.push_back(frontier);
+      analysis.levels.emplace_back(frontier);
       analysis.parent.push_back(std::move(next.parent));
     }
   }
   analysis.depth = level;
   if (!options.keep_levels) {
-    analysis.levels.push_back(std::move(frontier));
+    analysis.levels.emplace_back(frontier);
   }
 
   compute_components(options, analysis);

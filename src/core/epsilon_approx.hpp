@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
+#include "core/level.hpp"
 #include "core/parallel_for.hpp"
-#include "core/state_vector.hpp"
 #include "ptg/prefix.hpp"
 #include "ptg/reach.hpp"
 #include "ptg/view_intern.hpp"
@@ -115,18 +115,6 @@ struct ShardingOptions {
   ChunkProgressFn on_chunk;
 };
 
-/// One admissible prefix (input vector, letter sequence) at some level
-/// of the BFS. Its three per-process columns are inline for n <= 5
-/// (core/state_vector.hpp), so a state owns no heap block there.
-struct PrefixState {
-  StateVector<Value> inputs;
-  StateVector<ViewId> views;
-  StateVector<NodeMask> reach;
-  AdvState adv_state = 0;
-};
-// A level holds millions of states: keep the layout from growing back.
-static_assert(sizeof(PrefixState) <= 80);
-
 /// Summary of one connected component of the depth-t universe.
 struct ComponentInfo {
   std::int64_t num_leaves = 0;
@@ -171,10 +159,13 @@ struct DepthAnalysis {
   /// Shared interner; view ids in `levels` refer to it.
   std::shared_ptr<ViewInterner> interner;
 
-  /// levels[s] = admissible prefixes of length s (s = 0..depth).
-  /// Present only when options.keep_levels (levels.back() -- the leaves --
-  /// is always present).
-  std::vector<std::vector<PrefixState>> levels;
+  /// levels[s] = admissible prefixes of length s (s = 0..depth), each
+  /// level the roots' segments in root order (core/level.hpp). Present
+  /// only when options.keep_levels (levels.back() -- the leaves -- is
+  /// always present). The level driver's levels are its engines' own
+  /// segments at the deepest depth its set serves, and copies below it;
+  /// either way they may outlive the set.
+  std::vector<Level> levels;
 
   /// parent[s][i] = (index into levels[s-1], letter) of the one prefix
   /// that levels[s][i] extends by one letter; {-1, -1} at level 0. The
@@ -202,7 +193,9 @@ struct DepthAnalysis {
   /// validity assignment (assigned_value_strong >= 0 everywhere).
   bool strong_assignable = false;
 
-  const std::vector<PrefixState>& leaves() const { return levels.back(); }
+  /// The deepest level: leaf i is leaves()[i], and leaf_component[i]
+  /// its component. Walk it with a Level::Cursor in hot loops.
+  const Level& leaves() const { return levels.back(); }
 };
 
 /// Runs the depth-t analysis: a one-shot pass of the level driver

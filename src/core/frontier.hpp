@@ -50,15 +50,16 @@
 // Where the columns live: a pending slice's columns (states, view
 // indices, reach masks, and the packed keys, entries and probe table of
 // its WordSeqIndex) are PageColumns (memory/page_column.hpp), and each
-// committed level is an EngineLevel, all in the mappings of the
-// engine's PagePool, which the level driver (core/shard_set.hpp) owns
-// for a whole job. expand() reserves a chunk's upper bound and shrinks
+// committed level is an EngineLevel (core/level.hpp), all in the
+// mappings of the engine's PagePool, which the level driver
+// (core/shard_set.hpp) owns for a whole job. expand() reserves a chunk's upper bound and shrinks
 // to its size; merge() grows the first chunk's columns in place by each
 // later chunk's size. A slice hands each mapping back to the pool as
 // soon as it is folded in or committed, and a level as soon as the next
 // replaces it, so the next level writes into pages already faulted in.
 // The pool unmaps what it holds when the job's ShardSet reaches its
-// deepest level or dies; a slice dies with the merge or commit that
+// deepest level or when the pool dies, which is after the last analysis
+// level in its mappings; a slice dies with the merge or commit that
 // consumes it.
 #pragma once
 
@@ -195,10 +196,6 @@ class WordSeqIndex {
   PageColumn<int> slots_;
   std::uint64_t rehashes_ = 0;
 };
-
-/// One committed level of a FrontierEngine, in the mappings of the
-/// engine's pool.
-using EngineLevel = std::vector<PrefixState, PageAllocator<PrefixState>>;
 
 /// Per-state metadata of a pending (not yet interned) level: no heap
 /// member, so an emission allocates nothing of its own. The views and

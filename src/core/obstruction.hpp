@@ -36,7 +36,9 @@ struct BivalencePoint {
   int merged_components = 0;
 };
 
-/// Component/merge counts for depths 1..max_depth (E4 series).
+/// Component/merge counts for depths 1..max_depth (E4 series), stopping
+/// before the first truncated depth: the projection of depth_series,
+/// whose one shard set expands each level once.
 std::vector<BivalencePoint> bivalence_series(
     const MessageAdversary& adversary, int max_depth, int num_values = 2,
     std::size_t max_states = 2'000'000);

@@ -20,9 +20,6 @@ namespace topocon {
 
 namespace {
 
-// States per run_parallel index of the range assembly.
-constexpr std::size_t kAssembleBlock = std::size_t{1} << 14;
-
 // The scratch table of absorb_depth: a slot holds the high half of a
 // key's hash above the smallest rank seen with that key, or kEmptySlot.
 constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
@@ -79,6 +76,7 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
       chunk_states_(sharding.chunk_states > 0 ? sharding.chunk_states
                                               : kDefaultChunkStates),
       on_chunk_(sharding.on_chunk),
+      pages_(std::make_shared<PagePool>()),
       shards_(all_input_vectors(adversary.num_processes(),
                                 options.num_values)
                   .size()) {
@@ -86,7 +84,7 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
   run_parallel(parallel_for_, shards_.size(), [&](std::size_t r) {
     shards_[r].engine.emplace(adversary_, options_, shards_[r].interner,
                               static_cast<int>(r), static_cast<int>(r) + 1,
-                              &pages_);
+                              pages_.get());
   });
 }
 
@@ -152,7 +150,7 @@ bool ShardSet::advance(int depth) {
   // give back serve the roots that merge and commit after it. The set
   // expands no level after its deepest, so there a page given back is
   // worth nothing cached, and the pool unmaps it at once.
-  if (s == options_.depth) pages_.drain();
+  if (s == options_.depth) pages_->drain();
   std::vector<std::size_t> root_states(num_roots, 0);
   std::vector<std::size_t> root_bytes(num_roots, 0);
   run_parallel(parallel_for_, num_roots, [&](std::size_t r) {
@@ -173,7 +171,7 @@ bool ShardSet::advance(int depth) {
     total += root_states[r];
     pending_bytes += root_bytes[r];
   }
-  const std::size_t pool_bytes = pages_.mapped_bytes();
+  const std::size_t pool_bytes = pages_->mapped_bytes();
   level_ = s;
   if (metrics != nullptr) {
     // frontier_states is the size of the level just expanded (s - 1),
@@ -201,7 +199,7 @@ bool ShardSet::advance(int depth) {
 DepthAnalysis ShardSet::analyze(int depth) {
   assert(!shards_.empty() && "the set is spent after its deepest depth");
   assert(level_ <= depth && depth <= options_.depth);
-  // At the deepest depth the set serves, assembly moves the levels out of
+  // At the deepest depth the set serves, assembly takes the levels out of
   // the engines instead of copying them, and the set is spent. keep_levels
   // sets are one-shot, so they always are at that depth.
   const bool spend = depth == options_.depth;
@@ -210,7 +208,7 @@ DepthAnalysis ShardSet::analyze(int depth) {
   }
   // A truncated pass stops short of the deepest level; the assembly that
   // spends the set unmaps what it releases all the same.
-  if (spend) pages_.drain();
+  if (spend) pages_->drain();
   const std::size_t num_roots = shards_.size();
   const int reached = level_;
   DepthAnalysis analysis;
@@ -253,82 +251,73 @@ DepthAnalysis ShardSet::analyze(int depth) {
          telemetry::TraceArg::num("misses", misses)});
   }
 
-  // ---- Range assembly, root by root: root r owns [offsets[u][r],
-  // offsets[u][r + 1]) of merged level u (level first_level + u). Each
-  // merged level reserves its full size once and grows to root r's end
-  // offset just before root r fills its range on the lanes, remapping
-  // views into the shared interner; ranges are cut at kAssembleBlock
-  // states so a heavy root spreads over the lanes. When the set is spent,
-  // each root's levels are moved, not copied, and freed before the next
-  // root grows the merged levels, so no state is ever held twice.
+  // ---- Assembly: level u of the analysis (level first_level + u of the
+  // engines) is the roots' segments in root order. At the deepest depth
+  // the set serves, the segments are the engines' own levels, taken out
+  // and remapped in place, so no state is copied or moved. Below it the
+  // engines expand the current level next, so each root copies it into
+  // a segment of the set's pool, remapping views as it copies. Roots are
+  // equal-sized (the adversary does not read inputs), so one task per
+  // (level, root) balances the lanes whenever roots >= lanes.
   const int first_level = options_.keep_levels ? 0 : reached;
   const auto level_count = static_cast<std::size_t>(reached - first_level) + 1;
-  std::vector<std::vector<std::size_t>> offsets(
-      level_count, std::vector<std::size_t>(num_roots + 1, 0));
-  for (std::size_t u = 0; u < level_count; ++u) {
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      offsets[u][r + 1] =
-          offsets[u][r] +
-          shards_[r].engine->level_sizes()[static_cast<std::size_t>(
-              first_level) + u];
+  std::vector<std::vector<EngineLevel>> segments(level_count);
+  std::vector<std::vector<std::vector<std::pair<int, int>>>> parents(
+      num_roots);
+  for (std::size_t r = 0; r < num_roots; ++r) {
+    std::vector<EngineLevel> taken;
+    if (spend) {
+      taken = shards_[r].engine->take_levels();
+      parents[r] = shards_[r].engine->take_parents();
+    }
+    for (std::size_t u = 0; u < level_count; ++u) {
+      segments[u].push_back(
+          spend ? std::move(taken[u])
+                : EngineLevel(PageAllocator<PrefixState>(pages_.get())));
     }
   }
-  analysis.levels.resize(level_count);
-  for (std::size_t u = 0; u < level_count; ++u) {
-    analysis.levels[u].reserve(offsets[u][num_roots]);
+  run_parallel(parallel_for_, level_count * num_roots, [&](std::size_t i) {
+    const std::size_t u = i / num_roots;
+    const RootShard& shard = shards_[i % num_roots];
+    const auto remapped = [&](PrefixState& state) {
+      for (ViewId& id : state.views) {
+        id = shard.remap[static_cast<std::size_t>(id)];
+      }
+    };
+    EngineLevel& segment = segments[u][i % num_roots];
+    if (spend) {
+      for (PrefixState& state : segment) remapped(state);
+      return;
+    }
+    const EngineLevel& from = shard.engine->levels()[u];
+    segment.reserve(from.size());
+    for (const PrefixState& state : from) {
+      remapped(segment.emplace_back(state));
+    }
+  });
+  std::size_t level_bytes = 0;
+  analysis.levels.reserve(level_count);
+  for (std::vector<EngineLevel>& level : segments) {
+    analysis.levels.emplace_back(std::move(level), pages_);
+    level_bytes += analysis.levels.back().mapped_bytes();
   }
   if (options_.keep_levels) {
+    // The parent column stays merged: root r shifts its parent indices
+    // by its offset in the level above.
     analysis.parent.resize(level_count);
     for (std::size_t u = 0; u < level_count; ++u) {
-      analysis.parent[u].reserve(offsets[u][num_roots]);
+      analysis.parent[u].resize(analysis.levels[u].size());
     }
-  }
-  struct Range {
-    std::size_t level;  // index into the engine's history
-    std::size_t begin;
-    std::size_t end;
-  };
-  for (std::size_t r = 0; r < num_roots; ++r) {
-    FrontierEngine& engine = *shards_[r].engine;
-    const std::vector<ViewId>& remap = shards_[r].remap;
-    std::vector<EngineLevel> taken;
-    std::vector<std::vector<std::pair<int, int>>> parents;
-    if (spend) {
-      taken = engine.take_levels();
-      parents = engine.take_parents();
-    }
-    const std::vector<EngineLevel>& from =
-        spend ? taken : engine.levels();
-    std::vector<Range> ranges;
-    for (std::size_t u = 0; u < level_count; ++u) {
-      const std::size_t size = from[u].size();
-      for (std::size_t begin = 0; begin < size; begin += kAssembleBlock) {
-        ranges.push_back(
-            Range{u, begin, std::min(size, begin + kAssembleBlock)});
-      }
-      analysis.levels[u].resize(offsets[u][r + 1]);
-      if (options_.keep_levels) {
-        analysis.parent[u].resize(offsets[u][r + 1]);
-      }
-    }
-    run_parallel(parallel_for_, ranges.size(), [&](std::size_t i) {
-      const Range& range = ranges[i];
-      const std::size_t u = range.level;
-      const std::size_t base = offsets[u][r];
-      for (std::size_t k = range.begin; k < range.end; ++k) {
-        PrefixState& state = analysis.levels[u][base + k];
-        if (spend) {
-          state = std::move(taken[u][k]);
-        } else {
-          state = from[u][k];
-        }
-        for (ViewId& id : state.views) {
-          id = remap[static_cast<std::size_t>(id)];
-        }
-        if (!options_.keep_levels) continue;
-        const auto [parent, letter] = parents[u][k];
+    run_parallel(parallel_for_, level_count * num_roots, [&](std::size_t i) {
+      const std::size_t u = i / num_roots;
+      const std::size_t r = i % num_roots;
+      const std::size_t base = analysis.levels[u].offsets()[r];
+      for (std::size_t k = 0; k < parents[r][u].size(); ++k) {
+        const auto [parent, letter] = parents[r][u][k];
         analysis.parent[u][base + k] = {
-            parent < 0 ? -1 : parent + static_cast<int>(offsets[u - 1][r]),
+            parent < 0 ? -1
+                       : parent + static_cast<int>(
+                                      analysis.levels[u - 1].offsets()[r]),
             letter};
       }
     });
@@ -343,7 +332,10 @@ DepthAnalysis ShardSet::analyze(int depth) {
         "assemble", "assemble", span_start, trace->now_us() - span_start,
         {telemetry::TraceArg::num("depth", static_cast<std::uint64_t>(depth)),
          telemetry::TraceArg::num("leaves", analysis.leaves().size()),
-         telemetry::TraceArg::num("views", interner_->size() - views_before)});
+         telemetry::TraceArg::num("views", interner_->size() - views_before),
+         telemetry::TraceArg::num("copied",
+                                  spend ? 0 : analysis.leaves().size()),
+         telemetry::TraceArg::num("level_bytes", level_bytes)});
   }
 
   compute_components(options_, analysis, parallel_for_);

@@ -24,8 +24,9 @@
 // count and can never change a result, a verdict, or a byte of serialized
 // output (the tests/golden/ artifacts are diffed with chunking forced to
 // its finest setting by ctest). After the last level, shard results are
-// merged in root order into one DepthAnalysis, so every field is
-// bit-identical to the single-scan reference analyze_depth_oracle() --
+// assembled in root order into one DepthAnalysis, so every field (a
+// level read in index order) is identical to the single-scan reference
+// analyze_depth_oracle() --
 // down to the shared interner's ids, because the shards' private views
 // are absorbed one view depth at a time in (root, private id) order, the
 // order a serial scan interns them.
@@ -33,20 +34,21 @@
 // Assembly is parallel too, and the contract above is unchanged by it.
 // absorb_depth interns every shard's new views on the lanes, over blocks
 // of their (root, private id) order, and an ordered deduplication gives
-// them the ids a serial loop in that order assigns. The merged level
-// reserves its size from the per-root offsets and is assembled root by
-// root: it grows to root r's end offset, and root r fills its range
-// [offset_r, offset_{r+1}) on the lanes, remapping views as it goes and,
-// under keep_levels, shifting its parent indices by its offset in the
-// level above (the parent column is the only tree link). At
-// the deepest depth the set serves (AnalysisOptions::depth), root r's
-// levels are moved out of its engine, not copied, and freed before root
-// r + 1 grows the merged level, so each level exists once, in the engine
-// or in the analysis. Component
-// labelling (core/epsilon_approx.hpp) runs its unions, finds, and
-// per-component summaries by leaf ranges on the same lanes. Every one of
-// these steps writes index-addressed slots or order-free reductions, so
-// no id, leaf order, or label depends on the lane count.
+// them the ids a serial loop in that order assigns. Each analysis level
+// is a Level (core/level.hpp): the roots' own segments in root order,
+// root r's states at [offsets[r], offsets[r + 1]), which is exactly the
+// range a serial scan gives them. One task per (level, root) remaps the
+// root's views into the shared interner on the lanes, and under
+// keep_levels a second pass shifts each root's parent indices by its
+// offset in the level above into the merged parent column (the column
+// is the only tree link). At the deepest depth the set serves
+// (AnalysisOptions::depth), the segments are the engines' own levels,
+// taken out and remapped in place: no state is copied or moved, and each
+// level exists once. Component labelling (core/epsilon_approx.hpp) runs
+// its unions, finds, and per-component summaries by leaf ranges on the
+// same lanes, walking the segments with a cursor. Every one of these
+// steps writes index-addressed slots or order-free reductions, so no id,
+// leaf order, or label depends on the lane count.
 //
 // Persistence across depths: the root shards (engines and private
 // interners) live for a whole deepening job, not for one depth. The
@@ -59,11 +61,13 @@
 // fresh pass builds, because both absorb the views one depth at a time in
 // the same (root, private id) order. Only the work counters of
 // telemetry/metrics.hpp drop, as levels are no longer re-expanded. Below
-// the deepest depth, assembly copies the current level (the engines
-// expand it next); at the deepest depth it moves the levels out and
+// the deepest depth the engines expand the current level next, so each
+// root copies it into a segment of the set's pool, remapping as it
+// copies; at the deepest depth assembly takes the levels out and
 // releases the engines and private interners, and the set is spent: no
 // later analyze() may come. check_solvability therefore builds its set
-// for max_depth, and depth_series for its last depth. The keep_levels
+// for max_depth, depth_series for its last depth, and bivalence_series
+// (core/obstruction.hpp) is depth_series projected. The keep_levels
 // certify pass still expands from scratch, after the persistent shards
 // are released.
 //
@@ -72,8 +76,10 @@
 // buffers are the pages the level before gave back, and each root merges
 // and commits in one task, handing its pages on to the roots after it.
 // From the merges of the deepest level on (or from the assembly that
-// spends a truncated set) the pool unmaps what is given back, and it
-// unmaps the rest when the set dies.
+// spends a truncated set) the pool unmaps what is given back. The set
+// and every analysis level mapped in the pool share it, so the pool
+// unmaps the rest when the last of them dies: an analysis may outlive
+// its set, and a spent set's levels are unmapped with the analysis.
 //
 // Truncation: a level overflows iff the sum of its chunk sizes exceeds
 // max_states -- the same condition the single-scan BFS checks, because
@@ -130,8 +136,8 @@ std::size_t absorb_depth(ViewInterner& into,
 /// only the views they added, so one set kept across the depths of
 /// iterative deepening expands every level exactly once; analyze_depth
 /// is a one-shot use. options.depth is the deepest depth the set serves:
-/// analyze(options.depth) moves the levels into its result and spends
-/// the set.
+/// analyze(options.depth) hands the engines' levels to its result as
+/// its segments and spends the set.
 class ShardSet {
  public:
   /// One engine (and private interner) per root. A null `interner`
@@ -172,9 +178,10 @@ class ShardSet {
   const std::shared_ptr<ViewInterner> interner_;
   const std::size_t chunk_states_;
   const ChunkProgressFn on_chunk_;
-  /// The pending columns of every engine; declared before the engines
-  /// so it outlives them.
-  PagePool pages_;
+  /// The pending columns and levels of every engine; declared before the
+  /// engines so it outlives them, and shared with the analysis levels
+  /// mapped in it, which may outlive the set.
+  const std::shared_ptr<PagePool> pages_;
   /// One per root; empty once the set is spent.
   std::vector<RootShard> shards_;
   int level_ = 0;

@@ -58,7 +58,7 @@ SolvabilityResult check_solvability(const MessageAdversary& adversary,
         }
         if (!shards) {
           // One set serves every cheap depth; max_depth is the deepest,
-          // where its assembly moves the levels out.
+          // where its assembly takes the levels out.
           AnalysisOptions set_options = depth_options;
           set_options.depth = options.max_depth;
           shards.emplace(adversary, set_options, parallel_for, interner,

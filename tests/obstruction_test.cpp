@@ -1,6 +1,9 @@
 // Tests for obstruction extraction: bivalence survival series (Section
 // 6.1), merged epsilon-chains, and fair-sequence prefixes (Definition
 // 5.16) on the touchstone adversaries.
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "adversary/lossy_link.hpp"
@@ -34,6 +37,43 @@ TEST(Bivalence, SurvivesForOmissionNMinusOne) {
   const auto series = bivalence_series(*ma, 5);
   for (const BivalencePoint& point : series) {
     EXPECT_GE(point.merged_components, 1);
+  }
+}
+
+// bivalence_series keeps one shard set across its depths; each point
+// must equal a fresh one-shot analysis of that depth.
+TEST(Bivalence, SeriesMatchesPerDepthAnalyses) {
+  const auto solvable = make_lossy_link(0b011);
+  const auto full = make_lossy_link(0b111);
+  const auto omission = make_omission_adversary(2, 1);
+  const MessageAdversary* const adversaries[] = {solvable.get(), full.get(),
+                                                 omission.get()};
+  for (const MessageAdversary* adversary : adversaries) {
+    std::vector<BivalencePoint> expected;
+    auto interner = std::make_shared<ViewInterner>();
+    for (int depth = 1; depth <= 5; ++depth) {
+      AnalysisOptions options;
+      options.depth = depth;
+      options.keep_levels = false;
+      const DepthAnalysis analysis =
+          analyze_depth(*adversary, options, interner);
+      if (analysis.truncated) break;
+      expected.push_back(BivalencePoint{
+          depth, analysis.leaves().size(),
+          static_cast<int>(analysis.components.size()),
+          analysis.merged_components});
+    }
+    const std::vector<BivalencePoint> series = bivalence_series(*adversary, 5);
+    ASSERT_EQ(series.size(), expected.size()) << adversary->name();
+    for (std::size_t k = 0; k < series.size(); ++k) {
+      EXPECT_EQ(series[k].depth, expected[k].depth) << adversary->name();
+      EXPECT_EQ(series[k].num_leaf_classes, expected[k].num_leaf_classes)
+          << adversary->name() << " depth " << expected[k].depth;
+      EXPECT_EQ(series[k].num_components, expected[k].num_components)
+          << adversary->name() << " depth " << expected[k].depth;
+      EXPECT_EQ(series[k].merged_components, expected[k].merged_components)
+          << adversary->name() << " depth " << expected[k].depth;
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Equivalence of the parallel shard assembly with the serial reference:
-// the parallel absorb, the range assembly, and the array-indexed
+// the parallel absorb, the root-segmented levels, and the array-indexed
 // components must reproduce analyze_depth_oracle / check_solvability_oracle
 // field for field -- leaf order, the parent column (which must also be
 // parent-ordered), labels, component summaries, and the shared interner
@@ -27,6 +27,7 @@
 #include "core/shard_set.hpp"
 #include "core/solvability.hpp"
 #include "graph/enumerate.hpp"
+#include "memory/page_column.hpp"
 #include "runtime/sweep/thread_pool.hpp"
 
 namespace topocon {
@@ -222,6 +223,61 @@ TEST(ParallelAssembly, IterativeAndCertifyPassesMatchOracle) {
       if (oracle.table.has_value()) {
         EXPECT_EQ(got.table->size(), oracle.table->size()) << ctx;
       }
+    }
+  }
+}
+
+// A spent set's levels are its engines' own segments, mapped in the
+// set's pool, and the analysis outlives the set: with the set destroyed
+// the first and last leaf of every root (and, under keep_levels, the
+// prefixes rebuilt from them through the parent column) still equal the
+// oracle's, and every page the set mapped is unmapped once the analysis
+// dies.
+TEST(ParallelAssembly, SpentLevelsOutliveTheirSet) {
+  const auto omission = make_omission_adversary(3, 1);
+  for (const bool keep_levels : {false, true}) {
+    AnalysisOptions options;
+    options.keep_levels = keep_levels;
+    options.depth = 3;
+    const DepthAnalysis oracle = analyze_depth_oracle(*omission, options);
+    for (const Lane& lane : kLanes) {
+      const std::string ctx =
+          describe(lane, "keep=" + std::to_string(keep_levels));
+      sweep::ThreadPool pool(lane.threads);
+      ShardingOptions sharding;
+      sharding.chunk_states = lane.chunk_states;
+      const std::size_t mapped_before = PagePool::process_mapped_bytes();
+      {
+        std::optional<ShardSet> set;
+        set.emplace(*omission, options, pool.as_parallel_for(), nullptr,
+                    sharding);
+        const DepthAnalysis got = set->analyze(options.depth);
+        set.reset();
+        const Level& leaves = got.leaves();
+        ASSERT_EQ(leaves.size(), oracle.leaves().size()) << ctx;
+        EXPECT_TRUE(leaves == oracle.leaves()) << ctx;
+        ASSERT_EQ(leaves.segments().size(), 8u) << ctx;  // 2^3 roots
+        for (std::size_t r = 0; r < leaves.segments().size(); ++r) {
+          const std::size_t first = leaves.offsets()[r];
+          const std::size_t last = leaves.offsets()[r + 1] - 1;
+          ASSERT_LT(first, last) << ctx << " root " << r;
+          for (const std::size_t i : {first, last}) {
+            EXPECT_EQ(leaves[i], oracle.leaves()[i]) << ctx << " leaf " << i;
+            if (!keep_levels) continue;
+            const auto expected =
+                reconstruct_prefix(*omission, oracle, static_cast<int>(i));
+            const auto rebuilt =
+                reconstruct_prefix(*omission, got, static_cast<int>(i));
+            ASSERT_TRUE(expected.has_value() && rebuilt.has_value()) << ctx;
+            EXPECT_EQ(rebuilt->to_string(), expected->to_string())
+                << ctx << " leaf " << i;
+          }
+          EXPECT_EQ(leaves.segments()[r].front(), leaves[first]) << ctx;
+          EXPECT_EQ(leaves.segments()[r].back(), leaves[last]) << ctx;
+        }
+        EXPECT_GT(PagePool::process_mapped_bytes(), mapped_before) << ctx;
+      }
+      EXPECT_EQ(PagePool::process_mapped_bytes(), mapped_before) << ctx;
     }
   }
 }

@@ -166,8 +166,8 @@ TEST(Solvability, HeapColumnsMatchOracleAtSixProcesses) {
       EXPECT_EQ(saved(got), saved(oracle)) << adversary->name();
       ASSERT_TRUE(got.analysis.has_value());
       ASSERT_TRUE(oracle.analysis.has_value());
-      const std::vector<PrefixState>& leaves = got.analysis->leaves();
-      const std::vector<PrefixState>& expected = oracle.analysis->leaves();
+      const Level& leaves = got.analysis->leaves();
+      const Level& expected = oracle.analysis->leaves();
       ASSERT_EQ(leaves.size(), expected.size());
       for (std::size_t i = 0; i < leaves.size(); ++i) {
         ASSERT_EQ(leaves[i].inputs, expected[i].inputs) << i;

@@ -300,6 +300,9 @@ TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
     std::uint64_t depth = 0;
     std::uint64_t views = 0;
     std::uint64_t misses = 0;
+    std::uint64_t leaves = 0;
+    std::uint64_t copied = 0;
+    std::uint64_t level_bytes = 0;
   };
   std::ostringstream out;
   {
@@ -332,6 +335,11 @@ TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
     if (labeled.span.category == "absorb") {
       labeled.views = event.at("args").at("views").as_uint();
       labeled.misses = event.at("args").at("misses").as_uint();
+    }
+    if (labeled.span.category == "assemble") {
+      labeled.leaves = event.at("args").at("leaves").as_uint();
+      labeled.copied = event.at("args").at("copied").as_uint();
+      labeled.level_bytes = event.at("args").at("level_bytes").as_uint();
     }
     by_category[labeled.span.category].push_back(labeled);
   }
@@ -366,6 +374,26 @@ TEST(TraceWriter, AssembleAndComponentsSpansNestInsideTheirDepth) {
     EXPECT_TRUE(nested) << "absorb at " << absorb.span.ts;
   }
   EXPECT_GT(views, 0u);
+  // An assembly copies its leaves below the set's deepest depth and
+  // spends the set at it, which the one-shot certify pass always does.
+  bool certify_seen = false;
+  bool copy_seen = false;
+  for (const Labeled& assemble : assembles) {
+    copy_seen |= assemble.copied > 0;
+    EXPECT_TRUE(assemble.copied == 0 || assemble.copied == assemble.leaves)
+        << "assemble at " << assemble.span.ts;
+    EXPECT_GE(assemble.level_bytes, assemble.leaves * sizeof(PrefixState))
+        << "assemble at " << assemble.span.ts;
+    for (const Labeled& depth : depths) {
+      if (depth.span.name.ends_with("(certify)") &&
+          depth.span.contains(assemble.span)) {
+        certify_seen = true;
+        EXPECT_EQ(assemble.copied, 0u);
+      }
+    }
+  }
+  EXPECT_TRUE(certify_seen);
+  EXPECT_TRUE(copy_seen);  // depth 1 is below the set's deepest, 4
 }
 
 // The decision-table build of a certified check emits one `table` span
