@@ -162,9 +162,9 @@ struct DepthAnalysis {
   /// levels[s] = admissible prefixes of length s (s = 0..depth), each
   /// level the roots' segments in root order (core/level.hpp). Present
   /// only when options.keep_levels (levels.back() -- the leaves -- is
-  /// always present). The level driver's levels are its engines' own
-  /// segments at the deepest depth its set serves, and copies below it;
-  /// either way they may outlive the set.
+  /// always present). A ShardSet's levels are its engines' own segments
+  /// at the deepest depth it serves, and copies below it; either way
+  /// they may outlive the set.
   std::vector<Level> levels;
 
   /// parent[s][i] = (index into levels[s-1], letter) of the one prefix

@@ -9,7 +9,7 @@
 // at every root count. Hot loops walk the segments with a Cursor; cold
 // readers index through the offsets.
 //
-// A Level built by the driver keeps the job's PagePool alive through a
+// A Level built by a ShardSet keeps the job's PagePool alive through a
 // shared_ptr until its segments are unmapped, so an analysis may outlive
 // the ShardSet that built it. A copy maps its segments on its own, with
 // no pool.
@@ -172,7 +172,8 @@ class Level {
     std::size_t bytes = 0;
     for (const EngineLevel& segment : segments_) {
       if (segment.capacity() != 0) {
-        bytes += PagePool::page_round(segment.capacity() * sizeof(PrefixState));
+        bytes +=
+            PagePool::page_round(segment.capacity() * sizeof(PrefixState));
       }
     }
     return bytes;
