@@ -146,10 +146,7 @@ class Level {
   /// State i, found by a search of the offsets: for cold readers.
   const PrefixState& operator[](std::size_t i) const {
     assert(i < size());
-    const auto r = static_cast<std::size_t>(
-        std::upper_bound(offsets_.begin(), offsets_.end(), i) -
-        offsets_.begin() - 1);
-    return segments_[r][i - offsets_[r]];
+    return *at(i);
   }
   /// A cursor at state i (one offset search); end() at i == size().
   Cursor at(std::size_t i) const {

@@ -88,6 +88,8 @@ ShardSet::ShardSet(const MessageAdversary& adversary,
   });
 }
 
+ShardSet::~ShardSet() { pages_->drain(); }
+
 // Level-synchronous: expand all (root, chunk) work items of the level on
 // the lanes, merge per root in chunk order, apply the global state
 // budget, then commit.

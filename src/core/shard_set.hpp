@@ -76,10 +76,11 @@
 // buffers are the pages the level before gave back, and each root merges
 // and commits in one task, handing its pages on to the roots after it.
 // From the merges of the deepest level on (or from the assembly that
-// spends a truncated set) the pool unmaps what is given back. The set
-// and every analysis level mapped in the pool share it, so the pool
-// unmaps the rest when the last of them dies: an analysis may outlive
-// its set, and a spent set's levels are unmapped with the analysis.
+// spends a truncated set) the pool unmaps what is given back, and so it
+// does from the moment the set dies: the engines' levels and pending
+// columns are unmapped with the set, not cached. The set and every
+// analysis level mapped in the pool share the pool, so an analysis may
+// outlive its set, and its segments are unmapped when it dies.
 //
 // Truncation: a level overflows iff the sum of its chunk sizes exceeds
 // max_states -- the same condition the single-scan BFS checks, because
@@ -148,6 +149,10 @@ class ShardSet {
            const ShardingOptions& sharding);
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
+  /// Drains the pool, so the mappings the engines give back as they die
+  /// are unmapped at once instead of cached for an analysis that still
+  /// holds the pool.
+  ~ShardSet();
 
   /// Advances to `depth` (requests must not decrease nor exceed
   /// options.depth) and assembles the depth-`depth` analysis, every field

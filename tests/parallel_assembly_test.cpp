@@ -232,7 +232,9 @@ TEST(ParallelAssembly, IterativeAndCertifyPassesMatchOracle) {
 // the first and last leaf of every root (and, under keep_levels, the
 // prefixes rebuilt from them through the parent column) still equal the
 // oracle's, and every page the set mapped is unmapped once the analysis
-// dies.
+// dies. Below the deepest depth the levels are copies in the set's
+// pool, and once the set dies only the analysis's levels (and interner)
+// stay mapped, whether the pass completed or the budget cut it short.
 TEST(ParallelAssembly, SpentLevelsOutliveTheirSet) {
   const auto omission = make_omission_adversary(3, 1);
   for (const bool keep_levels : {false, true}) {
@@ -276,6 +278,47 @@ TEST(ParallelAssembly, SpentLevelsOutliveTheirSet) {
           EXPECT_EQ(leaves.segments()[r].back(), leaves[last]) << ctx;
         }
         EXPECT_GT(PagePool::process_mapped_bytes(), mapped_before) << ctx;
+      }
+      EXPECT_EQ(PagePool::process_mapped_bytes(), mapped_before) << ctx;
+    }
+  }
+
+  AnalysisOptions options;
+  options.keep_levels = false;
+  options.depth = 4;
+  AnalysisOptions shallow = options;
+  shallow.depth = 2;
+  const std::size_t level2 =
+      analyze_depth_oracle(*omission, shallow).leaves().size();
+  // Unbounded, depth 3 completes; capped at level 2's size, it overflows.
+  for (const std::size_t max_states : {options.max_states, level2}) {
+    options.max_states = max_states;
+    const bool truncated = max_states == level2;
+    for (const Lane& lane : kLanes) {
+      const std::string ctx =
+          describe(lane, "below deepest, truncated=" +
+                             std::to_string(truncated));
+      sweep::ThreadPool pool(lane.threads);
+      ShardingOptions sharding;
+      sharding.chunk_states = lane.chunk_states;
+      const std::size_t mapped_before = PagePool::process_mapped_bytes();
+      {
+        std::optional<ShardSet> set;
+        set.emplace(*omission, options, pool.as_parallel_for(), nullptr,
+                    sharding);
+        DepthAnalysis got = set->analyze(3);
+        ASSERT_EQ(got.truncated, truncated) << ctx;
+        set.reset();
+        std::size_t level_bytes = 0;
+        for (const Level& level : got.levels) {
+          level_bytes += level.mapped_bytes();
+        }
+        EXPECT_GT(level_bytes, 0u) << ctx;
+        const std::size_t with_levels = PagePool::process_mapped_bytes();
+        got.levels.clear();
+        EXPECT_EQ(with_levels - PagePool::process_mapped_bytes(),
+                  level_bytes)
+            << ctx;
       }
       EXPECT_EQ(PagePool::process_mapped_bytes(), mapped_before) << ctx;
     }
