@@ -11,8 +11,7 @@
 //
 // A Level built by a ShardSet keeps the job's PagePool alive through a
 // shared_ptr until its segments are unmapped, so an analysis may outlive
-// the ShardSet that built it. A copy maps its segments on its own, with
-// no pool.
+// the ShardSet that built it. A Level is move-only.
 #pragma once
 
 #include <algorithm>
@@ -124,14 +123,8 @@ class Level {
       offsets_.push_back(offsets_.back() + segment.size());
     }
   }
-  /// Copies every segment into pool-less mappings.
-  Level(const Level& other) : offsets_(other.offsets_) {
-    segments_.reserve(other.segments_.size());
-    for (const EngineLevel& segment : other.segments_) {
-      segments_.emplace_back(segment.begin(), segment.end(),
-                             PageAllocator<PrefixState>());
-    }
-  }
+  /// Move-only, so a level's states are never held twice.
+  Level(const Level&) = delete;
   Level(Level&& other) noexcept = default;
   /// By swap, so the old segments are unmapped before their pool dies.
   Level& operator=(Level other) noexcept {
